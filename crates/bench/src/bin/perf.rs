@@ -69,12 +69,18 @@
 //! configuration: edge-log digests and event counts must match the
 //! single-threaded run before the wall clock is reported.
 //!
+//! Every default-protocol sharded row also records what the
+//! profitability gate made of it: `effective_shards` (1 when the bus
+//! demoted itself to the single-threaded harness after its calibration
+//! prefix) and `prefix_events_per_window`; demoted rows print as
+//! `[fallback]`, so their speedup is never read as a parallel win.
+//!
 //! When built with `--features alloc-count` the counting global
 //! allocator is installed and a steady-state window on the synthetic
 //! allocation-free ring (`ctms_sim::synth`) measures allocations/event
 //! for both modes; the indexed scheduler must come out at exactly zero.
 
-use ctms_core::{RingChainTestbed, RingGraph, Scenario, ShardedChain, Testbed};
+use ctms_core::{Profitability, RingChainTestbed, RingGraph, Scenario, ShardedChain, Testbed};
 use ctms_router::BridgeKind;
 use ctms_sim::telemetry::{json_f64, json_string};
 use ctms_sim::{ExecMode, SchedMode, SimTime, WindowMode};
@@ -464,12 +470,42 @@ fn opt_stats(bus: &ctms_core::ShardedBus) -> Option<OptStats> {
     })
 }
 
+/// What the profitability gate made of one sharded run: the shard
+/// count that actually ran to the horizon and the calibration prefix's
+/// measurement (`None` when the run never completed the prefix).
+/// Deterministic, so repetitions are asserted identical.
+#[derive(Clone, Copy, PartialEq)]
+struct GateStats {
+    effective_shards: usize,
+    prefix: Option<Profitability>,
+}
+
+impl GateStats {
+    fn of(bed: &ShardedChain) -> GateStats {
+        GateStats {
+            effective_shards: bed.shard_count(),
+            prefix: bed.bus().profitability(),
+        }
+    }
+
+    /// Stderr suffix: the effective shard count, and the prefix density
+    /// when the gate measured one.
+    fn describe(&self) -> String {
+        let prefix = self
+            .prefix
+            .map(|p| format!(", prefix {:.1} ev/window", p.events_per_window()))
+            .unwrap_or_default();
+        format!("  effective shards {}{prefix}", self.effective_shards)
+    }
+}
+
 struct ChainSharded {
     shards: usize,
     threads: usize,
     /// The default protocol (adaptive windows).
     run: ModeRun,
     window: Option<WindowStats>,
+    gate: GateStats,
     /// The fixed-lookahead ablation baseline, measured with `--adaptive`.
     fixed: Option<(ModeRun, WindowStats)>,
     /// The optimistic-engine ablation, measured with `--optimistic`.
@@ -500,10 +536,11 @@ fn measure_sharded_mode(
     reps: usize,
     single: &ModeRun,
     label: &str,
-) -> (ModeRun, Option<WindowStats>, Option<OptStats>) {
+) -> (ModeRun, Option<WindowStats>, Option<OptStats>, GateStats) {
     let mut best: Option<ModeRun> = None;
     let mut stats: Option<WindowStats> = None;
     let mut spec: Option<OptStats> = None;
+    let mut gate: Option<GateStats> = None;
     for _ in 0..reps {
         let mut bed = build();
         assert_eq!(bed.shard_count(), k, "{label} must partition into {k}");
@@ -547,11 +584,22 @@ fn measure_sharded_mode(
             );
         }
         spec = o;
+        let g = GateStats::of(&bed);
+        assert!(
+            gate.is_none_or(|prev| prev == g),
+            "{label} shards={k} ({mode:?}, {exec:?}): profitability verdict varied across repetitions"
+        );
+        gate = Some(g);
         if best.as_ref().is_none_or(|b| run.wall_secs < b.wall_secs) {
             best = Some(run);
         }
     }
-    (best.expect("at least one repetition"), stats, spec)
+    (
+        best.expect("at least one repetition"),
+        stats,
+        spec,
+        gate.expect("at least one repetition"),
+    )
 }
 
 /// One stderr progress line per measured sharded configuration,
@@ -565,9 +613,15 @@ fn report_sharded(
     single: &ModeRun,
     window: Option<&WindowStats>,
     spec: Option<&OptStats>,
+    gate: Option<&GateStats>,
     tag: Option<&str>,
 ) {
-    let tag = tag.map(|t| format!(" [{t}]")).unwrap_or_default();
+    // A demoted run is the single-threaded bus after a short sharded
+    // prefix: tag it so its speedup never reads as a parallel win.
+    let tag = tag
+        .or(gate.filter(|g| g.effective_shards < k).map(|_| "fallback"))
+        .map(|t| format!(" [{t}]"))
+        .unwrap_or_default();
     let counters = window
         .map(|w| {
             format!(
@@ -588,8 +642,9 @@ fn report_sharded(
             )
         })
         .unwrap_or_default();
+    let gate = gate.map(GateStats::describe).unwrap_or_default();
     eprintln!(
-        "# {label}: shards={k} threads={workers}{tag} {:.1}ms ({:.2}M ev/s)  speedup {:.2}x{counters}{speculation}",
+        "# {label}: shards={k} threads={workers}{tag} {:.1}ms ({:.2}M ev/s)  speedup {:.2}x{counters}{speculation}{gate}",
         run.wall_secs * 1e3,
         run.events as f64 / run.wall_secs / 1e6,
         single.wall_secs / run.wall_secs
@@ -673,7 +728,7 @@ fn measure_chain(
                     .unwrap_or(0)
             })
         };
-        let (run, window, _) = measure_sharded_mode(
+        let (run, window, _, gate) = measure_sharded_mode(
             &build,
             &digests_of,
             WindowMode::Adaptive,
@@ -693,10 +748,11 @@ fn measure_chain(
             &single,
             window.as_ref(),
             None,
+            Some(&gate),
             None,
         );
         let fixed = adaptive.then(|| {
-            let (run, stats, _) = measure_sharded_mode(
+            let (run, stats, _, _) = measure_sharded_mode(
                 &build,
                 &digests_of,
                 WindowMode::FixedLookahead,
@@ -717,12 +773,13 @@ fn measure_chain(
                 &single,
                 Some(&stats),
                 None,
+                None,
                 Some("fixed"),
             );
             (run, stats)
         });
         let optimistic = optimistic.then(|| {
-            let (run, stats, spec) = measure_sharded_mode(
+            let (run, stats, spec, _) = measure_sharded_mode(
                 &build,
                 &digests_of,
                 WindowMode::Adaptive,
@@ -744,6 +801,7 @@ fn measure_chain(
                 &single,
                 Some(&stats),
                 Some(&spec),
+                None,
                 Some("opt"),
             );
             (run, stats, spec)
@@ -753,6 +811,7 @@ fn measure_chain(
             threads: workers,
             run,
             window,
+            gate,
             fixed,
             optimistic,
         });
@@ -841,7 +900,7 @@ fn measure_topology(
         let label = format!("{shape}/{rings}");
         let build = || RingChainTestbed::graph_sharded(&sc, kind, &graph, k);
         let digests_of = |bed: &ShardedChain| set_digests(&bed.measurement_set());
-        let (run, window, _) = measure_sharded_mode(
+        let (run, window, _, gate) = measure_sharded_mode(
             &build,
             &digests_of,
             WindowMode::Adaptive,
@@ -861,10 +920,11 @@ fn measure_topology(
             &single,
             window.as_ref(),
             None,
+            Some(&gate),
             None,
         );
         let fixed = adaptive.then(|| {
-            let (run, stats, _) = measure_sharded_mode(
+            let (run, stats, _, _) = measure_sharded_mode(
                 &build,
                 &digests_of,
                 WindowMode::FixedLookahead,
@@ -885,12 +945,13 @@ fn measure_topology(
                 &single,
                 Some(&stats),
                 None,
+                None,
                 Some("fixed"),
             );
             (run, stats)
         });
         let optimistic = optimistic.then(|| {
-            let (run, stats, spec) = measure_sharded_mode(
+            let (run, stats, spec, _) = measure_sharded_mode(
                 &build,
                 &digests_of,
                 WindowMode::Adaptive,
@@ -912,6 +973,7 @@ fn measure_topology(
                 &single,
                 Some(&stats),
                 Some(&spec),
+                None,
                 Some("opt"),
             );
             (run, stats, spec)
@@ -921,6 +983,7 @@ fn measure_topology(
             threads: workers,
             run,
             window,
+            gate,
             fixed,
             optimistic,
         });
@@ -1248,6 +1311,17 @@ fn sharded_json(
     match &s.window {
         Some(w) => out.push_str(&format!("{indent}  \"window\": {},\n", window_json(w))),
         None => out.push_str(&format!("{indent}  \"window\": null,\n")),
+    }
+    out.push_str(&format!(
+        "{indent}  \"effective_shards\": {},\n",
+        s.gate.effective_shards
+    ));
+    match &s.gate.prefix {
+        Some(p) => out.push_str(&format!(
+            "{indent}  \"prefix_events_per_window\": {},\n",
+            json_f64(p.events_per_window())
+        )),
+        None => out.push_str(&format!("{indent}  \"prefix_events_per_window\": null,\n")),
     }
     match &s.fixed {
         Some((run, w)) => {

@@ -11,7 +11,8 @@
 //!   before any timing, writing the checked-in `BENCH_PR*.json`
 //!   trajectory reports;
 //! * the **`serve` binary** is the line-oriented JSON service runtime
-//!   (run/telemetry/checkpoint/restore/steer/fork) over a live bus;
+//!   (run/telemetry/checkpoint/restore/steer/fork) over a live bus —
+//!   the [`serve`] module, so tests can drive sessions in-process;
 //! * the **benches** (`cargo bench --features bench`) measure the
 //!   simulator's wall-clock cost per scenario and per substrate
 //!   operation, and run the §5.3 ablation grid on the std-only
@@ -19,6 +20,7 @@
 //!   build needs nothing beyond the workspace).
 
 pub mod harness;
+pub mod serve;
 
 use ctms_core::{ExpCfg, Scenario};
 use ctms_stats::Report;

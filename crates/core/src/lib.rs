@@ -36,7 +36,9 @@ pub use checkpoint::{
 };
 pub use experiments::{ablation_row, all as run_all_experiments, copy_census, AblationRow, ExpCfg};
 pub use graph::{graph_topology, partition_rings, GraphEdge, RingGraph};
-pub use parallel::{ParallelBus, ShardedBus};
+pub use parallel::{
+    ParallelBus, Profitability, ShardedBus, CALIBRATION_WINDOWS, MIN_EVENTS_PER_WINDOW,
+};
 pub use scenario::{HostLoad, Network, Scenario};
 pub use testbed::{DropRec, Roles, Testbed};
 pub use topology::{Bus, CtmsRouter, Measurements, Topology};

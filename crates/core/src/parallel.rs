@@ -13,14 +13,67 @@
 //! subscriptions, phantom broadcast traffic, non-default scheduler
 //! mode) transparently fall back to the [`ShardedBus::Single`] variant,
 //! which wraps a plain [`Bus`] — callers see one type either way.
+//!
+//! Topologies that can be sharded but where sharding does not pay fall
+//! back too, during the run: the **profitability gate** measures the
+//! first [`CALIBRATION_WINDOWS`] conservative windows and, when they
+//! carry fewer than [`MIN_EVENTS_PER_WINDOW`] events each, moves the
+//! simulation onto the single-threaded bus in place (see
+//! [`ShardedBus::try_run_until`] and DESIGN.md §13, "Profitability").
 
 use crate::topology::{
     decode_router_state, persist_router_parts, Bus, CtmsRouter, Measurements, Node, RouterCkpt,
 };
 use ctms_router::Bridge;
-use ctms_sim::{CascadeError, NodeId, Registry, ShardStats, ShardedHarness, SimTime, WindowMode};
+use ctms_sim::{
+    CascadeError, ExecMode, Harness, NodeId, Registry, ShardStats, ShardedHarness, SimTime,
+    WindowMode,
+};
 use ctms_tokenring::TokenRing;
 use ctms_unixkern::{Host, MeasurePoint};
+
+/// Length of the profitability gate's calibration prefix, in
+/// conservative windows counted across `run_until` calls from the first
+/// run after a build or restore. A run that never completes it (a few
+/// long windows) is never demoted.
+pub const CALIBRATION_WINDOWS: u64 = 128;
+
+/// Events per window below which sharding cannot pay. On 2 threads a
+/// window of `E` events costs about `s + E·c/2` against `E·c`
+/// single-threaded, where `s` is the fixed per-window dispatch and
+/// barrier cost and `c` the cost of one event: break-even sits at
+/// `E = 2s/c`. With `s` up to ~6 µs and `c` ≈ 190 ns measured on a
+/// 2-vCPU host, that is ~63 events; the gate asks for 4× that, so a
+/// shape it lets through is predicted to gain ≥1.3x even at a 1.3
+/// max/mean load imbalance. Dense-coupling shapes carry 5–15 events
+/// per window, sparse ones thousands (DESIGN.md §13, "Profitability").
+pub const MIN_EVENTS_PER_WINDOW: u64 = 256;
+
+/// What the profitability gate measured over one sharded bus's
+/// calibration prefix.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Profitability {
+    /// Shards the bus was built with.
+    pub shards: usize,
+    /// Conservative windows in the prefix (at least
+    /// [`CALIBRATION_WINDOWS`]).
+    pub windows: u64,
+    /// Events serviced in the prefix.
+    pub events: u64,
+}
+
+impl Profitability {
+    /// Mean events per window over the prefix.
+    pub fn events_per_window(&self) -> f64 {
+        self.events as f64 / self.windows as f64
+    }
+
+    /// True when the prefix was too dense for sharding to pay, so the
+    /// bus moves to the single-threaded harness.
+    pub fn demotes(&self) -> bool {
+        self.events < MIN_EVENTS_PER_WINDOW * self.windows
+    }
+}
 
 /// A built topology running on the conservative-parallel harness, or —
 /// when the partition would be unsound or pointless — on the plain
@@ -42,10 +95,17 @@ pub struct ParallelBus {
     pub(crate) ring_nodes: Vec<NodeId>,
     pub(crate) bridge_nodes: Vec<NodeId>,
     pub(crate) host_nodes: Vec<NodeId>,
+    /// `(events, windows)` when the calibration prefix began; `None`
+    /// until the first run after a build or restore.
+    pub(crate) prefix_start: Option<(u64, u64)>,
+    /// The gate's measurement, once the prefix completed.
+    pub(crate) profitability: Option<Profitability>,
 }
 
 impl ShardedBus {
-    /// Number of shards actually running (1 for the fallback).
+    /// Number of shards actually running: 1 for the fallback, including
+    /// a bus the profitability gate demoted — the *effective* shard
+    /// count.
     pub fn shard_count(&self) -> usize {
         match self {
             ShardedBus::Single(_) => 1,
@@ -56,6 +116,18 @@ impl ShardedBus {
     /// True when this bus fell back to the single-threaded harness.
     pub fn is_single(&self) -> bool {
         matches!(self, ShardedBus::Single(_))
+    }
+
+    /// The profitability gate's measurement: `Some` once a gated
+    /// sharded bus completed its calibration prefix, whether it stayed
+    /// sharded or demoted itself ([`Profitability::demotes`]); `None`
+    /// before that, for ablation modes, and for buses that were never
+    /// sharded.
+    pub fn profitability(&self) -> Option<Profitability> {
+        match self {
+            ShardedBus::Single(b) => b.profitability(),
+            ShardedBus::Parallel(p) => p.profitability,
+        }
     }
 
     /// Mutable access to the single-threaded fallback bus, if this is
@@ -115,18 +187,44 @@ impl ShardedBus {
 
     /// Runs until `horizon`; panics on cascade overflow.
     pub fn run_until(&mut self, horizon: SimTime) {
-        match self {
-            ShardedBus::Single(b) => b.run_until(horizon),
-            ShardedBus::Parallel(p) => p.h.run_until(horizon),
+        if let Err(e) = self.try_run_until(horizon) {
+            panic!("{e}");
         }
     }
 
     /// Runs until `horizon`, reporting cascade overflow as an error.
+    ///
+    /// A sharded bus on the default protocol (adaptive windows,
+    /// conservative execution) first passes the profitability gate:
+    /// the run stops at the first clean cut after
+    /// [`CALIBRATION_WINDOWS`] windows, and if those carried fewer than
+    /// [`MIN_EVENTS_PER_WINDOW`] events each, the bus becomes
+    /// [`ShardedBus::Single`] before running on to `horizon`. The rule
+    /// reads only the simulation's own schedule, so it decides the same
+    /// at every thread count, and the result stays bit-identical either
+    /// way. Explicitly selected ablations
+    /// ([`WindowMode::FixedLookahead`], [`ExecMode::Optimistic`]) are
+    /// never demoted.
     pub fn try_run_until(&mut self, horizon: SimTime) -> Result<(), CascadeError> {
+        if let ShardedBus::Parallel(p) = self {
+            if p.calibrate(horizon)?
+                .is_some_and(|verdict| verdict.demotes())
+            {
+                self.demote();
+            }
+        }
         match self {
             ShardedBus::Single(b) => b.try_run_until(horizon),
             ShardedBus::Parallel(p) => p.h.try_run_until(horizon),
         }
+    }
+
+    /// Moves a parallel bus onto the single-threaded harness in place.
+    fn demote(&mut self) {
+        let ShardedBus::Parallel(p) = self else {
+            unreachable!("only a parallel bus demotes");
+        };
+        *self = ShardedBus::Single(p.take_single());
     }
 
     /// Component activations serviced so far (equal to the
@@ -352,6 +450,66 @@ impl ShardedBus {
 }
 
 impl ParallelBus {
+    /// Runs the calibration prefix while it is open: up to `horizon`,
+    /// or to the first clean cut after [`CALIBRATION_WINDOWS`] windows.
+    /// Returns the gate's measurement when the prefix completed in this
+    /// call.
+    fn calibrate(&mut self, horizon: SimTime) -> Result<Option<Profitability>, CascadeError> {
+        if self.profitability.is_some()
+            || self.h.window_mode() != WindowMode::Adaptive
+            || self.h.exec_mode() != ExecMode::Conservative
+        {
+            return Ok(None);
+        }
+        let (events0, windows0) = *self
+            .prefix_start
+            .get_or_insert((self.h.events(), self.h.windows()));
+        self.h
+            .try_run_until_windows(horizon, windows0 + CALIBRATION_WINDOWS)?;
+        let windows = self.h.windows() - windows0;
+        if windows < CALIBRATION_WINDOWS {
+            return Ok(None);
+        }
+        let verdict = Profitability {
+            shards: self.h.shard_count(),
+            windows,
+            events: self.h.events() - events0,
+        };
+        self.profitability = Some(verdict);
+        Ok(Some(verdict))
+    }
+
+    /// Hands the simulation over to a single-threaded [`Bus`] through
+    /// the shard-agnostic checkpoint stream: the state is persisted,
+    /// the nodes move (in global [`NodeId`] order, so ids and tie order
+    /// are unchanged) into a fresh [`Harness`] with one router over the
+    /// same wiring, and the stream restores clock, event count,
+    /// telemetry history and the merged measurements onto it. Only the
+    /// stream is held beside the nodes — never two harnesses. Leaves
+    /// this bus empty; the caller drops it.
+    fn take_single(&mut self) -> Bus {
+        let mut image = ctms_sim::Enc::new();
+        self.persist_state(&mut image);
+        let image = image.into_bytes();
+        let router = self.h.shard_router(0).fresh_single();
+        let mut h = Harness::new(router, self.h.cascade_limit());
+        for (node, label) in self.h.take_nodes() {
+            h.add_node_labeled(node, label);
+        }
+        let mut bus = Bus::from_sharded_parts(
+            h,
+            std::mem::take(&mut self.ring_nodes),
+            std::mem::take(&mut self.bridge_nodes),
+            std::mem::take(&mut self.host_nodes),
+            self.profitability.expect("the gate ran before demoting"),
+        );
+        let mut dec = ctms_sim::Dec::new(&image);
+        bus.restore_state(&mut dec)
+            .and_then(|()| dec.finish())
+            .expect("a sharded bus's own state restores onto its nodes");
+        bus
+    }
+
     /// See [`ShardedBus::persist_state`]: same byte stream as the
     /// single-threaded bus — the harness walks nodes in global
     /// registration order, and the per-shard router parts are merged
@@ -414,6 +572,8 @@ impl ParallelBus {
     /// Re-distributes a decoded router snapshot across the shard parts
     /// — shared by the monolithic and streamed restore paths.
     fn apply_router_ckpt(&mut self, ckpt: RouterCkpt) -> Result<(), ctms_sim::PersistError> {
+        // A prefix still open restarts from the restored state.
+        self.prefix_start = None;
         let shards = self.h.shard_count();
         for k in 0..shards {
             self.h.shard_router_mut(k).clear_measurements();

@@ -20,7 +20,7 @@
 //! then phantom — which is also the deadline-tie service order, so runs
 //! are bit-identical to the old fixed advance orders.
 
-use crate::parallel::{ParallelBus, ShardedBus};
+use crate::parallel::{ParallelBus, Profitability, ShardedBus};
 use crate::testbed::DropRec;
 use ctms_measure::{Tap, TapCfg};
 use ctms_router::{Bridge, BridgeCmd, BridgeOut};
@@ -259,6 +259,45 @@ pub struct CtmsRouter {
 }
 
 impl CtmsRouter {
+    /// A router over the wiring table `slots` with a fresh TAP on every
+    /// ring slot `owns` accepts, no recorded measurements, and one truth
+    /// map per host.
+    fn new(
+        slots: Arc<[Slot]>,
+        owns: impl Fn(usize) -> bool,
+        purge_subscribers: Vec<(NodeId, DriverId)>,
+        n_hosts: usize,
+    ) -> Self {
+        let taps = slots
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                (matches!(s, Slot::Ring { .. }) && owns(i)).then(|| Tap::new(TapCfg::default()))
+            })
+            .collect();
+        CtmsRouter {
+            slots,
+            taps,
+            purge_subscribers,
+            m: Measurements {
+                truth: (0..n_hosts).map(|_| HashMap::new()).collect(),
+                ..Measurements::default()
+            },
+        }
+    }
+
+    /// A fresh single-threaded router over the same wiring as this one
+    /// (every TAP, no measurements) — the target a sharded run's merged
+    /// router state restores into.
+    pub(crate) fn fresh_single(&self) -> Self {
+        CtmsRouter::new(
+            Arc::clone(&self.slots),
+            |_| true,
+            self.purge_subscribers.clone(),
+            self.m.truth.len(),
+        )
+    }
+
     /// The recorded ground truth.
     pub fn measurements(&self) -> &Measurements {
         &self.m
@@ -673,25 +712,15 @@ impl Topology {
         let n_hosts = self.hosts.len();
         let host_node = |k: usize| NodeId(n_rings + n_bridges + k);
 
-        let slots: Arc<[Slot]> = self.make_slots().into();
-        let taps: Vec<Option<Tap>> = slots
-            .iter()
-            .map(|s| matches!(s, Slot::Ring { .. }).then(|| Tap::new(TapCfg::default())))
-            .collect();
-
-        let router = CtmsRouter {
-            slots,
-            taps,
-            purge_subscribers: self
-                .purge_subscribers
+        let router = CtmsRouter::new(
+            self.make_slots().into(),
+            |_| true,
+            self.purge_subscribers
                 .iter()
                 .map(|&(host, driver)| (host_node(host), driver))
                 .collect(),
-            m: Measurements {
-                truth: (0..n_hosts).map(|_| HashMap::new()).collect(),
-                ..Measurements::default()
-            },
-        };
+            n_hosts,
+        );
 
         let mut h = Harness::with_mode(router, self.cascade_limit, self.sched_mode);
         let mut ring_nodes = Vec::new();
@@ -722,6 +751,7 @@ impl Topology {
             bridge_nodes,
             host_nodes,
             phantom_node,
+            profitability: None,
         }
     }
 
@@ -839,25 +869,17 @@ impl Topology {
 
         let slots: Arc<[Slot]> = self.make_slots().into();
         let routers: Vec<CtmsRouter> = (0..s)
-            .map(|shard| CtmsRouter {
-                // One shared wiring table for all shards: the Arc clone
-                // is a refcount bump, not a copy of the slot data.
-                slots: Arc::clone(&slots),
-                // Each ring's TAP lives with the ring's owner shard; the
-                // merged telemetry re-numbers them globally.
-                taps: slots
-                    .iter()
-                    .enumerate()
-                    .map(|(i, sl)| {
-                        (matches!(sl, Slot::Ring { .. }) && ring_shard(i) == shard)
-                            .then(|| Tap::new(TapCfg::default()))
-                    })
-                    .collect(),
-                purge_subscribers: Vec::new(),
-                m: Measurements {
-                    truth: (0..n_hosts).map(|_| HashMap::new()).collect(),
-                    ..Measurements::default()
-                },
+            .map(|shard| {
+                // One shared wiring table for all shards (the Arc clone
+                // is a refcount bump); each ring's TAP lives with the
+                // ring's owner shard, and the merged telemetry
+                // re-numbers them globally.
+                CtmsRouter::new(
+                    Arc::clone(&slots),
+                    |i| ring_shard(i) == shard,
+                    Vec::new(),
+                    n_hosts,
+                )
             })
             .collect();
 
@@ -897,6 +919,8 @@ impl Topology {
             ring_nodes,
             bridge_nodes,
             host_nodes,
+            prefix_start: None,
+            profitability: None,
         })
     }
 }
@@ -910,9 +934,40 @@ pub struct Bus {
     bridge_nodes: Vec<NodeId>,
     host_nodes: Vec<NodeId>,
     phantom_node: Option<NodeId>,
+    /// The profitability gate's measurement, when this bus is a sharded
+    /// bus that demoted itself (see [`ShardedBus::profitability`]).
+    profitability: Option<Profitability>,
 }
 
 impl Bus {
+    /// A bus over the nodes a demoted sharded bus handed over: `h`
+    /// holds them in global registration order, the id lists are the
+    /// sharded bus's, and `profitability` is the gate's verdict.
+    /// Sharded topologies have no phantom generator (`build_sharded`
+    /// falls back for one).
+    pub(crate) fn from_sharded_parts(
+        h: Harness<Node, CtmsRouter>,
+        ring_nodes: Vec<NodeId>,
+        bridge_nodes: Vec<NodeId>,
+        host_nodes: Vec<NodeId>,
+        profitability: Profitability,
+    ) -> Bus {
+        Bus {
+            h,
+            ring_nodes,
+            bridge_nodes,
+            host_nodes,
+            phantom_node: None,
+            profitability: Some(profitability),
+        }
+    }
+
+    /// The profitability gate's verdict, when this bus is a demoted
+    /// sharded bus.
+    pub(crate) fn profitability(&self) -> Option<Profitability> {
+        self.profitability
+    }
+
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.h.now()

@@ -8,9 +8,6 @@
 //! the clock, advances whichever component is due next, and routes outputs
 //! between components — the "motherboard" pattern. This keeps every
 //! substrate unit-testable in isolation.
-//!
-//! A small closure-based scheduler ([`EventLoop`]) is also provided for
-//! driving a single component in unit tests.
 
 use crate::time::SimTime;
 
@@ -103,157 +100,6 @@ impl Default for CascadeGuard {
     }
 }
 
-/// A minimal closure-event scheduler for unit tests and self-contained
-/// models.
-///
-/// Events are `FnOnce(&mut W, &mut EventLoop<W>)`.
-///
-/// # Tie-break order
-///
-/// Events are served in `(time, scheduling order)` — strict FIFO among
-/// events sharing an instant. That includes events scheduled *during*
-/// the instant: an event that schedules another event at the current
-/// time runs it after everything already queued at that time, never
-/// before (each `at`/`after` call takes the next sequence number).
-///
-/// # Storage reuse
-///
-/// Entries live in a slab (`slots`) addressed by a `(at, seq, slot)`
-/// priority queue; fired slots chain onto an intrusive free list
-/// (`free_head` threads through the `Free` variant, so the slab is a
-/// single contiguous allocation with no side vector) and are reused by
-/// later events, so the slab and queue stop growing once the loop
-/// reaches its peak in-flight event count. The per-event closure `Box`
-/// itself is inherent to type-erased `FnOnce` storage and is the only
-/// allocation a steady-state reschedule performs.
-pub struct EventLoop<W> {
-    now: SimTime,
-    seq: u64,
-    /// Min-order on `(at, seq)`; the payload index addresses `slots`.
-    queue: std::collections::BinaryHeap<std::cmp::Reverse<(SimTime, u64, usize)>>,
-    slots: Vec<SlabSlot<W>>,
-    /// Head of the intrusive free list, `NO_SLOT` when every slot is live.
-    free_head: usize,
-}
-
-type EventFn<W> = Box<dyn FnOnce(&mut W, &mut EventLoop<W>)>;
-
-/// Sentinel terminating the slab free list.
-const NO_SLOT: usize = usize::MAX;
-
-enum SlabSlot<W> {
-    /// A scheduled, not-yet-fired event.
-    Live(EventFn<W>),
-    /// A fired slot; the payload is the next free slot (`NO_SLOT` ends
-    /// the list).
-    Free(usize),
-}
-
-impl<W> EventLoop<W> {
-    /// Creates an empty scheduler at time zero.
-    pub fn new() -> Self {
-        EventLoop {
-            now: SimTime::ZERO,
-            seq: 0,
-            queue: std::collections::BinaryHeap::new(),
-            slots: Vec::new(),
-            free_head: NO_SLOT,
-        }
-    }
-
-    /// The current simulation time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Schedules `f` to run at absolute time `at` (after any event
-    /// already scheduled at `at` — see the type docs on tie-breaking).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past.
-    pub fn at(&mut self, at: SimTime, f: impl FnOnce(&mut W, &mut EventLoop<W>) + 'static) {
-        assert!(
-            at >= self.now,
-            "EventLoop::at: {at} is before now={}",
-            self.now
-        );
-        self.seq += 1;
-        let f: EventFn<W> = Box::new(f);
-        let slot = if self.free_head != NO_SLOT {
-            let s = self.free_head;
-            match std::mem::replace(&mut self.slots[s], SlabSlot::Live(f)) {
-                SlabSlot::Free(next) => self.free_head = next,
-                SlabSlot::Live(_) => unreachable!("free list pointed at a live slot"),
-            }
-            s
-        } else {
-            self.slots.push(SlabSlot::Live(f));
-            self.slots.len() - 1
-        };
-        self.queue.push(std::cmp::Reverse((at, self.seq, slot)));
-    }
-
-    /// Schedules `f` to run after a delay.
-    pub fn after(
-        &mut self,
-        delay: crate::time::Dur,
-        f: impl FnOnce(&mut W, &mut EventLoop<W>) + 'static,
-    ) {
-        let at = self.now + delay;
-        self.at(at, f);
-    }
-
-    /// Runs events until the queue drains or time would pass `until`.
-    ///
-    /// Returns the number of events fired.
-    pub fn run_until(&mut self, world: &mut W, until: SimTime) -> u64 {
-        let mut fired = 0;
-        while let Some(&std::cmp::Reverse((at, _, _))) = self.queue.peek() {
-            if at > until {
-                break;
-            }
-            let std::cmp::Reverse((at, _, slot)) = self.queue.pop().expect("peeked entry");
-            let f = match std::mem::replace(&mut self.slots[slot], SlabSlot::Free(self.free_head)) {
-                SlabSlot::Live(f) => f,
-                SlabSlot::Free(_) => unreachable!("queue pointed at a free slot"),
-            };
-            self.free_head = slot;
-            self.now = at;
-            f(world, self);
-            fired += 1;
-        }
-        // Leave `now` at the horizon so subsequent `after` calls are
-        // relative to the end of the window.
-        if self.now < until {
-            self.now = until;
-        }
-        fired
-    }
-
-    /// Runs all remaining events.
-    pub fn run_to_completion(&mut self, world: &mut W) -> u64 {
-        self.run_until(world, SimTime::MAX)
-    }
-
-    /// True if no events remain.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Slab slots currently allocated (live + reusable). Bounded by the
-    /// peak in-flight event count, not the total events ever scheduled.
-    pub fn slot_capacity(&self) -> usize {
-        self.slots.len()
-    }
-}
-
-impl<W> Default for EventLoop<W> {
-    fn default() -> Self {
-        EventLoop::new()
-    }
-}
-
 /// Drives a single [`Component`] in isolation: advances it through its own
 /// deadlines up to `until`, collecting every output with the time it was
 /// emitted. The workhorse of substrate unit tests.
@@ -276,91 +122,6 @@ pub fn drain_component<C: Component>(c: &mut C, until: SimTime) -> Vec<(SimTime,
 mod tests {
     use super::*;
     use crate::time::Dur;
-
-    #[test]
-    fn event_loop_orders_by_time_then_fifo() {
-        let mut el: EventLoop<Vec<u32>> = EventLoop::new();
-        let mut world = Vec::new();
-        el.at(SimTime::from_us(20), |w: &mut Vec<u32>, _| w.push(3));
-        el.at(SimTime::from_us(10), |w: &mut Vec<u32>, _| w.push(1));
-        el.at(SimTime::from_us(10), |w: &mut Vec<u32>, _| w.push(2));
-        el.run_to_completion(&mut world);
-        assert_eq!(world, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn events_can_schedule_events() {
-        let mut el: EventLoop<Vec<u64>> = EventLoop::new();
-        let mut world = Vec::new();
-        fn tick(w: &mut Vec<u64>, el: &mut EventLoop<Vec<u64>>) {
-            w.push(el.now().as_us());
-            if w.len() < 5 {
-                el.after(Dur::from_us(12_000), tick);
-            }
-        }
-        el.at(SimTime::ZERO, tick);
-        el.run_to_completion(&mut world);
-        assert_eq!(world, vec![0, 12_000, 24_000, 36_000, 48_000]);
-    }
-
-    #[test]
-    fn same_instant_fifo_holds_for_mid_instant_scheduling() {
-        // Regression for the documented tie-break: an event firing at t
-        // that schedules another event at the same t must run it after
-        // every event already queued at t — strict FIFO by scheduling
-        // order, even across the slab's slot reuse.
-        let mut el: EventLoop<Vec<&'static str>> = EventLoop::new();
-        let mut world = Vec::new();
-        let t = SimTime::from_us(10);
-        el.at(t, move |w: &mut Vec<&'static str>, el| {
-            w.push("a");
-            el.at(t, |w: &mut Vec<&'static str>, _| w.push("a-child"));
-        });
-        el.at(t, |w: &mut Vec<&'static str>, _| w.push("b"));
-        el.run_to_completion(&mut world);
-        assert_eq!(world, vec!["a", "b", "a-child"]);
-    }
-
-    #[test]
-    fn slab_slots_are_reused_across_fired_events() {
-        // A self-rescheduling chain keeps exactly one event in flight;
-        // the slab must not grow with the number of events fired.
-        let mut el: EventLoop<u64> = EventLoop::new();
-        let mut world = 0u64;
-        fn tick(w: &mut u64, el: &mut EventLoop<u64>) {
-            *w += 1;
-            if *w < 1000 {
-                el.after(Dur::from_us(3), tick);
-            }
-        }
-        el.at(SimTime::ZERO, tick);
-        el.run_to_completion(&mut world);
-        assert_eq!(world, 1000);
-        assert_eq!(el.slot_capacity(), 1, "slab grew despite slot reuse");
-    }
-
-    #[test]
-    fn run_until_respects_horizon() {
-        let mut el: EventLoop<u32> = EventLoop::new();
-        let mut world = 0u32;
-        el.at(SimTime::from_ms(1), |w: &mut u32, _| *w += 1);
-        el.at(SimTime::from_ms(5), |w: &mut u32, _| *w += 1);
-        let fired = el.run_until(&mut world, SimTime::from_ms(2));
-        assert_eq!(fired, 1);
-        assert_eq!(world, 1);
-        assert_eq!(el.now(), SimTime::from_ms(2));
-        assert!(!el.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "before now")]
-    fn scheduling_in_past_panics() {
-        let mut el: EventLoop<()> = EventLoop::new();
-        let mut w = ();
-        el.at(SimTime::from_ms(5), |_, _| {});
-        el.run_to_completion(&mut w);
-        el.at(SimTime::from_ms(1), |_, _| {});
-    }
 
     #[test]
     fn earliest_of_deadlines() {

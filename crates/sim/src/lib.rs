@@ -9,8 +9,7 @@
 //!
 //! * [`time`] — nanosecond-resolution simulation clock types,
 //! * [`rng`] — deterministic, stream-splittable random numbers,
-//! * [`engine`] — the [`engine::Component`] state-machine protocol and a
-//!   closure-based [`engine::EventLoop`] for tests,
+//! * [`engine`] — the [`engine::Component`] state-machine protocol,
 //! * [`bus`] — the generic scheduler/event-bus ([`bus::Harness`]): a
 //!   [`bus::NodeId`]-addressable registry, a central deadline scheduler
 //!   with deterministic tie-breaking, and typed routing via [`bus::Router`],
@@ -51,7 +50,7 @@ pub use bus::{
     CascadeError, CmdSink, Harness, NodeId, Router, SchedMode, SpeculationFault,
     DEFAULT_CASCADE_LIMIT,
 };
-pub use engine::{drain_component, earliest, CascadeGuard, Component, EventLoop};
+pub use engine::{drain_component, earliest, CascadeGuard, Component};
 pub use heap::IndexedHeap;
 pub use persist::{
     decode_new, ChunkSink, ChunkedReader, ChunkedWriter, Dec, Enc, FramedWrite, Persist,

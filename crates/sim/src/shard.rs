@@ -1493,6 +1493,41 @@ where
         self.threads = threads.max(1);
     }
 
+    /// Conservative windows run so far, across `run_until` calls (the
+    /// `sched.windows` execution counter).
+    pub fn windows(&self) -> u64 {
+        self.windows
+    }
+
+    /// The same-instant cascade step limit.
+    pub fn cascade_limit(&self) -> u32 {
+        self.shards[0].as_ref().expect("shard present").limit
+    }
+
+    /// Dismantles the harness into its nodes, in global registration
+    /// order, each with its telemetry label — the hand-over to a
+    /// single-threaded [`crate::bus::Harness`], which registers them in
+    /// this order and so assigns the same [`NodeId`]s. Routers, clocks
+    /// and telemetry are dropped: persist them first (the
+    /// [`ShardedHarness::persist_state`] stream restores into the new
+    /// harness). Call at a sync-instant boundary. The harness is left
+    /// without shards, so any later use of it panics; it only takes
+    /// `&mut self` so an owner can hand over in place.
+    pub fn take_nodes(&mut self) -> Vec<(C, String)> {
+        let mut shards: Vec<std::vec::IntoIter<C>> = self
+            .shards
+            .iter_mut()
+            .map(|s| s.take().expect("shard present").nodes.into_iter())
+            .collect();
+        // Each shard holds its nodes in global order, so walking the
+        // owner map takes them back out in sequence.
+        self.owner_map
+            .iter()
+            .zip(std::mem::take(&mut self.labels))
+            .map(|(&(s, _), label)| (shards[s as usize].next().expect("node present"), label))
+            .collect()
+    }
+
     /// Execution counters for shard `k`.
     pub fn shard_stats(&self, k: usize) -> ShardStats {
         let s = self.shards[k].as_ref().expect("shard present");
@@ -1669,6 +1704,34 @@ where
     where
         R: MergeTelemetry,
     {
+        self.run_to(horizon, None).map(|_| ())
+    }
+
+    /// Like [`ShardedHarness::try_run_until`], but in adaptive
+    /// conservative mode the run stops early once the window counter
+    /// ([`ShardedHarness::windows`]) reaches `windows`: it then finishes
+    /// every instant up to the latest shard clock `c` and stops there,
+    /// with the harness clock at `c` and no mail in flight — exactly the
+    /// state `try_run_until(c)` leaves, so a checkpoint (or a hand-over
+    /// to the single-threaded harness) may be taken. Other modes run to
+    /// `horizon`. Returns the instant reached: `horizon`, or the cut.
+    pub fn try_run_until_windows(
+        &mut self,
+        horizon: SimTime,
+        windows: u64,
+    ) -> Result<SimTime, CascadeError>
+    where
+        R: MergeTelemetry,
+    {
+        self.run_to(horizon, Some(windows))
+    }
+
+    /// Shared body of the two `try_run_until` flavours; returns the
+    /// instant the run reached.
+    fn run_to(&mut self, horizon: SimTime, stop: Option<u64>) -> Result<SimTime, CascadeError>
+    where
+        R: MergeTelemetry,
+    {
         if let Some(e) = self.failed {
             return Err(e);
         }
@@ -1677,11 +1740,13 @@ where
         // window end is exclusive, so `horizon + 1 ns` makes deadlines
         // at exactly `horizon` runnable.
         let run_end = horizon.saturating_add(Dur::from_ns(1));
-        match (self.exec, self.mode) {
-            (ExecMode::Optimistic, _) => self.run_optimistic(horizon, run_end)?,
-            (_, WindowMode::FixedLookahead) => self.run_fixed(horizon, run_end)?,
-            (_, WindowMode::Adaptive) => self.run_adaptive(horizon, run_end)?,
-        }
+        let horizon = match (self.exec, self.mode) {
+            (ExecMode::Optimistic, _) => self.run_optimistic(horizon, run_end).map(|()| horizon)?,
+            (_, WindowMode::FixedLookahead) => {
+                self.run_fixed(horizon, run_end).map(|()| horizon)?
+            }
+            (_, WindowMode::Adaptive) => self.run_adaptive(horizon, run_end, stop)?,
+        };
         for s in &mut self.shards {
             let s = s.as_mut().expect("shard present");
             if s.now < horizon {
@@ -1691,7 +1756,7 @@ where
         if self.now < horizon {
             self.now = horizon;
         }
-        Ok(())
+        Ok(horizon)
     }
 
     /// The fixed-lookahead coordinator loop: the classic bounded-window
@@ -1745,7 +1810,17 @@ where
     /// iterations stuck at one instant beyond the cascade limit is the
     /// cross-shard livelock (zero-lookahead mail ping-pong) and poisons
     /// the harness exactly like a cascade overflow.
-    fn run_adaptive(&mut self, horizon: SimTime, run_end: SimTime) -> Result<(), CascadeError>
+    ///
+    /// With `stop`, once the window counter reaches it the horizon is
+    /// pulled in to the latest shard clock (see
+    /// [`ShardedHarness::try_run_until_windows`]); returns the horizon
+    /// the run ended at.
+    fn run_adaptive(
+        &mut self,
+        mut horizon: SimTime,
+        mut run_end: SimTime,
+        mut stop: Option<u64>,
+    ) -> Result<SimTime, CascadeError>
     where
         R: MergeTelemetry,
     {
@@ -1877,6 +1952,21 @@ where
                 s.run_adaptive_window(w);
             });
             self.check_failures()?;
+            if stop.is_some_and(|w| self.windows >= w) {
+                stop = None;
+                // No shard has executed past the latest shard clock, so
+                // finishing every instant up to it leaves a clean cut.
+                let cut = self
+                    .shards
+                    .iter()
+                    .map(|s| s.as_ref().expect("shard present").now)
+                    .max()
+                    .expect("at least one shard");
+                if cut < horizon {
+                    horizon = cut;
+                    run_end = cut.saturating_add(Dur::from_ns(1));
+                }
+            }
         }
         debug_assert!(
             self.shards.iter().all(|s| {
@@ -1885,7 +1975,7 @@ where
             }),
             "adaptive run ended with mail in flight"
         );
-        Ok(())
+        Ok(horizon)
     }
 
     /// The optimistic (Time-Warp-style) coordinator loop. Per round:

@@ -660,6 +660,49 @@ mod tests {
     }
 
     #[test]
+    fn window_budget_stops_at_a_clean_cut_and_hands_nodes_over() {
+        // `try_run_until_windows` stops short of the horizon once the
+        // window budget is spent, in exactly the state the
+        // single-threaded reference has at the cut; `take_nodes` then
+        // carries that state into a single-threaded harness that
+        // finishes the run identically.
+        let horizon = SimTime::from_ns(200_000);
+        let mut sharded = build_sharded_ring(8, 1_000, 3, 2_500, 2_500);
+        // Capped windows, so the horizon takes ~20 of them.
+        sharded.set_max_window_span(Dur::from_ns(10_000));
+        let cut = sharded
+            .try_run_until_windows(horizon, 5)
+            .expect("no cascade failure");
+        assert!(cut < horizon, "budget of 5 windows must stop early");
+        assert!(sharded.windows() >= 5);
+        assert_eq!(sharded.now(), cut);
+        let mut reference = build_sharded_ring_reference(8, 1_000, 3, 2_500);
+        reference.run_until(cut);
+        assert_eq!(sharded.events(), reference.events(), "state at the cut");
+
+        let events = sharded.events();
+        let limit = sharded.cascade_limit();
+        let router = ShardForward {
+            nodes_per_shard: 8,
+            hops: 3,
+            routed: 0,
+        };
+        let mut single = Harness::new(router, limit);
+        for (k, (node, label)) in sharded.take_nodes().into_iter().enumerate() {
+            assert_eq!(label, format!("synth.n{k}"), "global registration order");
+            single.add_node_labeled(node, label);
+        }
+        single.run_until(horizon);
+        reference.run_until(horizon);
+        assert_eq!(single.events() + events, reference.events());
+        for k in 0..17 {
+            let (s, r) = (single.node(NodeId(k)), reference.node(NodeId(k)));
+            assert_eq!(s.fired(), r.fired(), "node {k}");
+            assert_eq!(s.handled(), r.handled(), "node {k}");
+        }
+    }
+
+    #[test]
     fn sharded_ring_matches_the_single_threaded_reference() {
         use crate::shard::WindowMode;
         let horizon = SimTime::from_ns(200_000);

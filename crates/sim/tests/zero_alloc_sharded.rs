@@ -4,7 +4,8 @@
 //! Runs only under `--features alloc-count`, which swaps in the counting
 //! global allocator. Like `zero_alloc.rs`, this test lives alone in its
 //! own integration-test binary: the allocation counter is process-wide,
-//! so a concurrently running test would pollute the measured window.
+//! so a concurrently running test would pollute the measured window
+//! (the two tests here take turns through a lock).
 //!
 //! The workload is `ctms_sim::synth::build_sharded_ring` — two disjoint
 //! ticker rings (one per shard) plus a sync-class relay whose fires
@@ -19,8 +20,20 @@ use ctms_sim::SimTime;
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
 
+/// The counter is process-wide and `cargo test` runs the tests below on
+/// parallel threads: each holds this lock so neither counts the other's
+/// allocations.
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    // A poisoned lock only means the other test failed; the counter is
+    // still ours alone.
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn steady_state_sharded_hot_path_allocates_nothing() {
+    let _serial = serial();
     // Two shards on one thread (the inline dispatch path — worker
     // threads have their own stacks and queues, which would charge
     // pool machinery, not the scheduler, to the counter), with live
@@ -65,6 +78,7 @@ fn steady_state_sharded_hot_path_allocates_nothing() {
 
 #[test]
 fn steady_state_optimistic_hot_path_allocates_nothing() {
+    let _serial = serial();
     // The optimistic engine adds three reusable buffers to the hot
     // path on top of the conservative scheduler: the pre-image
     // snapshot arena, the executed-event log, and the staged

@@ -18,7 +18,12 @@ reports add a capacity ("scale") section — per topology size, the build
 wall time (with peak build bytes when the report was recorded with the
 counting allocator), the steady-state events/sec with the shard counts
 whose streamed checkpoints round-tripped byte-identically, and the
-streaming-checkpoint write/read throughput in MB/s. Malformed
+streaming-checkpoint write/read throughput in MB/s. Since the
+profitability gate, /6 sharded entries also record "effective_shards"
+(the shard count that ran to the horizon) and the calibration prefix's
+"prefix_events_per_window"; every sharded row shows its effective
+shards, and a row the gate demoted to the single-threaded bus is tagged
+"[fallback]" so its speedup never reads as a parallel win. Malformed
 reports (unparseable JSON, or a structurally broken
 section) are listed on stderr and make the exit code non-zero — as does
 a recorded sharded configuration running more than 10% slower than its
@@ -80,6 +85,19 @@ def fmt_ev_per_sync(run, window):
     return f", {eps:,.0f} ev/sync{mark}"
 
 
+def fmt_effective(s):
+    """The effective-shards column and the fallback tag of one sharded
+    entry. Reports from before the profitability gate carry no
+    "effective_shards": every requested shard ran."""
+    shards = s["shards"]
+    eff = s.get("effective_shards", shards)
+    if eff >= shards:
+        return "", f", {eff}/{shards} shards effective"
+    prefix = s.get("prefix_events_per_window")
+    density = f", prefix {prefix:.1f} ev/window" if prefix is not None else ""
+    return " [fallback]", f", {eff}/{shards} shards effective, single-threaded{density}"
+
+
 def rows_sharded(label, section):
     """The single-vs-sharded block shared by chain and topology rows."""
     single = section["single"]["events_per_sec"]
@@ -89,9 +107,10 @@ def rows_sharded(label, section):
         t = f" threads={threads}" if threads is not None else ""
         parity = "parity OK" if s.get("ground_truth_parity") else "PARITY BROKEN"
         eps = fmt_ev_per_sync(s.get("run"), s.get("window"))
+        tag, eff = fmt_effective(s)
         yield (
-            f"{label} shards={s['shards']}{t}",
-            f"{fmt_speedup(s['speedup'])} ({parity}{eps})",
+            f"{label} shards={s['shards']}{t}{tag}",
+            f"{fmt_speedup(s['speedup'])} ({parity}{eff}{eps})",
         )
         fixed = s.get("fixed_lookahead")
         if fixed:
@@ -446,6 +465,52 @@ WELL_FORMED_V6 = {
 }
 
 
+WELL_FORMED_GATED = {
+    "format": "ctms-perf/6",
+    "cores": 2,
+    "degraded_parallelism": False,
+    "cases": [],
+    "chain": None,
+    "topologies": [
+        {
+            "shape": "fddi",
+            "rings": 32,
+            "single": {"events_per_sec": 4.8e6},
+            "sharded": [
+                {
+                    "shards": 2,
+                    "threads": 2,
+                    "run": {"events": 19463},
+                    "speedup": 0.96,
+                    "window": None,
+                    "effective_shards": 1,
+                    "prefix_events_per_window": 6.8125,
+                    "ground_truth_parity": True,
+                }
+            ],
+        },
+        {
+            "shape": "tree",
+            "rings": 1024,
+            "single": {"events_per_sec": 2.5e6},
+            "sharded": [
+                {
+                    "shards": 2,
+                    "threads": 2,
+                    "run": {"events": 421823},
+                    "speedup": 1.11,
+                    "window": {"sync_instants": 0, "windows": 2},
+                    "effective_shards": 2,
+                    "prefix_events_per_window": None,
+                    "ground_truth_parity": True,
+                }
+            ],
+        },
+    ],
+    "scale": None,
+}
+
+
 def selftest():
     """Pins the malformed-report contract (bad syntax and a broken
     topology section both produce a non-zero exit, a clean tree a zero
@@ -466,7 +531,7 @@ def selftest():
     code, out, err = run_on({"BENCH_PR7.json": json.dumps(WELL_FORMED)})
     assert code == 0, f"well-formed report must exit 0: {err}"
     assert "tree/1024 shards=4" in out, f"missing per-topology row:\n{out}"
-    assert "1.80x (parity OK)" in out, f"missing topology speedup:\n{out}"
+    assert "1.80x (parity OK, 4/4 shards effective)" in out, f"missing topology speedup:\n{out}"
 
     # Syntactically malformed JSON: non-zero, named on stderr.
     code, _, err = run_on(
@@ -573,6 +638,28 @@ def selftest():
     code, _, err = run_on({"BENCH_PR10.json": json.dumps(regressed)})
     assert code == 1, "a /6 sharded regression must fail the run"
     assert "0.80x" in err, err
+
+    # A report with the profitability gate's stamps: a sharded row that
+    # kept its shards shows them effective; a demoted row is tagged
+    # [fallback] with its prefix density, so it never reads as a
+    # parallel win. (Pre-gate reports count every requested shard; the
+    # /3 fixture above pins that.)
+    code, out, err = run_on({"BENCH_PR7.json": json.dumps(WELL_FORMED_GATED)})
+    assert code == 0, f"well-formed gated report must exit 0: {err}"
+    assert "fddi/32 shards=2 threads=2 [fallback]" in out, f"missing fallback tag:\n{out}"
+    assert (
+        "0.96x (parity OK, 1/2 shards effective, single-threaded, prefix 6.8 ev/window)"
+        in out
+    ), f"missing effective-shards column on the fallback row:\n{out}"
+    assert "tree/1024 shards=2 threads=2  " in out, f"sharded row mis-tagged:\n{out}"
+    assert "1.11x (parity OK, 2/2 shards effective" in out, f"missing column:\n{out}"
+
+    # The >10% gate reads fallback rows like any other: a demotion
+    # whose calibration cost more than 10% still fails the run.
+    slow = json.loads(json.dumps(WELL_FORMED_GATED))
+    slow["topologies"][0]["sharded"][0]["speedup"] = 0.85
+    code, _, err = run_on({"BENCH_PR7.json": json.dumps(slow)})
+    assert code == 1 and "fddi/32 shards=2: 0.85x" in err, err
 
     print("bench_trend selftest: OK")
     return 0

@@ -34,12 +34,16 @@ cargo test -q --test determinism topology_variants_share_the_golden_truth
 echo "== tier-1: adaptive-vs-fixed window parity (chain/tree/mesh/fddi at 1/2/4 shards)"
 cargo test -q --test determinism window_modes_share_the_golden_truth
 
+echo "== tier-1: profitability gate (dense shapes demote in place, byte-identical; sparse stay sharded)"
+cargo test -q --test determinism profitability_gate_demotes_dense_shapes_in_place
+
 echo "== tier-1: optimistic execution parity (golden truth; rollback+replay exercised)"
 cargo test -q --test determinism optimistic_mode_shares_the_golden_truth
 cargo test -q -p ctms-sim straggler
 
-echo "== ctms-serve smoke (typed error kinds + optimistic session parity)"
-cargo test -q -p ctms-bench --bin serve
+echo "== ctms-serve smoke (typed error kinds + hostile input + optimistic session parity)"
+cargo test -q -p ctms-bench --lib serve
+cargo test -q --test serve
 cons_out=$(printf '%s\n' \
   '{"scenario":"chain","rings":8,"shards":2}' \
   '{"cmd":"run","until_ms":50}' \
@@ -103,6 +107,18 @@ cargo run --release -q -p ctms-bench --features alloc-count --bin perf -- \
   --quick --shards 4 --rings 32 \
   --topology tree:16 --topology mesh:12 --topology fddi:8 \
   --compare BENCH_PR7.json
+
+echo "== profitability perf smoke (fddi/32 falls back to 1 effective shard, tree/1024 keeps 2)"
+gate_json=$(mktemp)
+cargo run --release -q -p ctms-bench --bin perf -- \
+  --quick --shards 2 --topology fddi:32 --topology tree:1024 --json "$gate_json"
+python3 - "$gate_json" <<'PY'
+import json, sys
+report = json.load(open(sys.argv[1]))
+eff = {t["shape"]: t["sharded"][0]["effective_shards"] for t in report["topologies"]}
+assert eff == {"fddi": 1, "tree": 2}, f"effective shards {eff}, want fddi 1 and tree 2"
+PY
+rm -f "$gate_json"
 
 echo "== adaptive perf smoke (report-only: adaptive + fixed ablation, parity-asserting)"
 cargo run --release -q -p ctms-bench --features alloc-count --bin perf -- \

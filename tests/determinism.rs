@@ -194,6 +194,11 @@ fn topology_variants_share_the_golden_truth() {
     // event counts, and the whole canonical telemetry tree. This is the
     // license for `perf --topology` to compare wall clocks across
     // shapes: the per-cut-edge lookahead windows are pure scheduling.
+    // The FDDI backbone's dense coupling fails the profitability gate,
+    // so at 2 and 4 shards it runs sharded only for the calibration
+    // prefix and then on the single-threaded bus;
+    // `profitability_gate_demotes_dense_shapes_in_place` covers the
+    // sharded engine on it to the horizon.
     use ctms_core::{RingChainTestbed, RingGraph};
     use ctms_router::BridgeKind;
 
@@ -230,6 +235,12 @@ fn topology_variants_share_the_golden_truth() {
                 "{name}: graph must fill {shards} shards"
             );
             bed.run_until(horizon);
+            let effective = if name == "fddi" { 1 } else { shards };
+            assert_eq!(
+                bed.shard_count(),
+                effective,
+                "{name}: effective shards after the run (shards={shards})"
+            );
             let got = [
                 bed.measurement_set().vca_irq.digest(),
                 bed.measurement_set().handler.digest(),
@@ -267,7 +278,13 @@ fn window_modes_share_the_golden_truth() {
     // run under both modes at 1, 2 and 4 shards and held to byte
     // identity — truth-log digests, event counts, and the canonical
     // telemetry tree. This is the license for `perf --adaptive` to
-    // report the mode delta as pure synchronization overhead.
+    // report the mode delta as pure synchronization overhead. Adaptive
+    // windows on the FDDI backbone fail the profitability gate, so at 2
+    // and 4 shards that side is sharded only for the calibration prefix
+    // and the single-threaded bus after it (fixed lookahead, an
+    // ablation, is never demoted);
+    // `profitability_gate_demotes_dense_shapes_in_place` covers adaptive
+    // sharded fddi to the horizon.
     use ctms_core::{RingChainTestbed, RingGraph};
     use ctms_router::BridgeKind;
     use ctms_sim::WindowMode;
@@ -314,10 +331,21 @@ fn window_modes_share_the_golden_truth() {
                     bed.measurement_set().pre_tx.digest(),
                     bed.measurement_set().ctmsp_rx.digest(),
                 ];
-                (digests, bed.events(), bed.telemetry_json())
+                (
+                    digests,
+                    bed.events(),
+                    bed.telemetry_json(),
+                    bed.shard_count(),
+                )
             };
             let adaptive = run(WindowMode::Adaptive);
             let fixed = run(WindowMode::FixedLookahead);
+            let demoted = name == "fddi" && shards > 1;
+            assert_eq!(
+                (adaptive.3, fixed.3),
+                (if demoted { 1 } else { shards }, shards),
+                "{name}: effective shards (adaptive, fixed) after the run (shards={shards})"
+            );
             assert_eq!(
                 adaptive.0, fixed.0,
                 "{name} truth diverged between window modes (shards={shards})"
@@ -480,4 +508,160 @@ fn telemetry_digests_are_golden() {
         b, 0xF9C7_8BD2_FDF4_71C1,
         "case B telemetry drifted: {b:#018X}"
     );
+}
+
+#[test]
+fn profitability_gate_demotes_dense_shapes_in_place() {
+    // The profitability gate: a sharded bus whose first
+    // CALIBRATION_WINDOWS windows carry too few events each moves onto
+    // the single-threaded bus mid-run. Dense-coupling shapes (the FDDI
+    // backbone, a 16-ring mesh: ~5-15 events per window) demote at 2
+    // and 4 shards and report one effective shard; the run stays byte
+    // for byte the single-threaded run — truth digests, counters,
+    // events, the whole telemetry tree — and checkpoints on either side
+    // of the demotion are the single-threaded run's bytes and restore
+    // at any shard count. Sparse shapes (a handful of long windows)
+    // never complete the prefix and stay sharded.
+    use ctms_core::{RingChainTestbed, RingGraph, CALIBRATION_WINDOWS, MIN_EVENTS_PER_WINDOW};
+    use ctms_router::BridgeKind;
+
+    let sc = Scenario::scaled_chain(42);
+    let kind = BridgeKind::cut_through_bridge();
+    let horizon = SimTime::from_secs(2);
+    let step = SimTime::from_ms(1).as_ns();
+    let digests = |set: ctms_measure::MeasurementSet| {
+        [
+            set.vca_irq.digest(),
+            set.handler.digest(),
+            set.pre_tx.digest(),
+            set.ctmsp_rx.digest(),
+        ]
+    };
+
+    for (name, graph) in [
+        ("fddi", RingGraph::fddi(12)),
+        ("mesh", RingGraph::mesh(16, 42)),
+    ] {
+        let mut single = RingChainTestbed::graph(&sc, kind, &graph);
+        single.run_until(horizon);
+        let single_json = single.telemetry_json();
+        let single_digests = digests(single.measurement_set());
+        let single_counters = single.counters();
+        let single_events = single.bus().events();
+
+        for shards in [2usize, 4] {
+            // One uninterrupted run.
+            let mut bed = RingChainTestbed::graph_sharded(&sc, kind, &graph, shards);
+            assert_eq!(bed.shard_count(), shards, "{name}: built sharded");
+            bed.run_until(horizon);
+            assert_eq!(bed.shard_count(), 1, "{name} shards={shards}: not demoted");
+            let verdict = bed.bus().profitability().expect("prefix completed");
+            assert!(verdict.demotes(), "{name} shards={shards}: {verdict:?}");
+            assert_eq!(verdict.shards, shards);
+            assert!(verdict.windows >= CALIBRATION_WINDOWS);
+            assert!(verdict.events < MIN_EVENTS_PER_WINDOW * verdict.windows);
+            assert_eq!(
+                digests(bed.measurement_set()),
+                single_digests,
+                "{name} truth drifted (shards={shards})"
+            );
+            assert_eq!(bed.counters(), single_counters, "{name} counters drifted");
+            assert_eq!(bed.events(), single_events, "{name} events drifted");
+            assert_eq!(
+                bed.telemetry_json(),
+                single_json,
+                "{name} telemetry drifted (shards={shards})"
+            );
+
+            // Stepped in 1 ms calls: the last checkpoint while sharded
+            // and the first after the demotion.
+            let mut bed = RingChainTestbed::graph_sharded(&sc, kind, &graph, shards);
+            let mut before = None;
+            let mut at = 0;
+            while bed.shard_count() > 1 {
+                assert!(at < horizon.as_ns(), "{name}: no demotion by the horizon");
+                before = Some((bed.now(), bed.bus().checkpoint()));
+                at += step;
+                bed.run_until(SimTime::from_ns(at));
+            }
+            let after = (bed.now(), bed.bus().checkpoint());
+            let before = before.expect("sharded for at least one step");
+            for (label, (t, snapshot)) in [("before", before), ("after", after)] {
+                let mut reference = RingChainTestbed::graph(&sc, kind, &graph);
+                reference.run_until(t);
+                assert!(
+                    reference.bus().checkpoint() == snapshot,
+                    "{name} shards={shards}: checkpoint {label} the demotion differs from the single-threaded run's"
+                );
+                for restore_at in [1usize, 2, 4] {
+                    let mut resumed =
+                        RingChainTestbed::graph_sharded(&sc, kind, &graph, restore_at);
+                    resumed
+                        .bus_mut()
+                        .restore_checkpoint(&snapshot)
+                        .unwrap_or_else(|e| panic!("{name}: restore {label} at {restore_at}: {e}"));
+                    resumed.run_until(horizon);
+                    assert_eq!(
+                        resumed.telemetry_json(),
+                        single_json,
+                        "{name} shards={shards}: resumed {label} the demotion at {restore_at} shards drifted"
+                    );
+                }
+            }
+
+            // The adaptive sharded engine itself to the horizon: a
+            // restore restarts the calibration prefix, so restoring
+            // before each prefix completes — as a session that steers
+            // often does — keeps the bus sharded, and the answer is
+            // still the single-threaded run's.
+            let mut bed = RingChainTestbed::graph_sharded(&sc, kind, &graph, shards);
+            let mut at = 0;
+            while at < horizon.as_ns() {
+                at += 5 * step;
+                bed.run_until(SimTime::from_ns(at));
+                assert_eq!(
+                    bed.shard_count(),
+                    shards,
+                    "{name} shards={shards}: demoted by {at} ns despite restores"
+                );
+                let snapshot = bed.bus().checkpoint();
+                bed.bus_mut()
+                    .restore_checkpoint(&snapshot)
+                    .expect("a bus restores its own checkpoint");
+            }
+            assert_eq!(
+                digests(bed.measurement_set()),
+                single_digests,
+                "{name} truth drifted while kept sharded (shards={shards})"
+            );
+            assert_eq!(bed.events(), single_events, "{name} events drifted");
+            assert_eq!(
+                bed.telemetry_json(),
+                single_json,
+                "{name} telemetry drifted while kept sharded (shards={shards})"
+            );
+        }
+    }
+
+    // Sparse shapes run their whole horizon in a few windows: the
+    // prefix never completes, so they keep every shard.
+    for (name, graph) in [
+        (
+            "chain",
+            RingGraph::named("chain", 16, 42).expect("chain shape"),
+        ),
+        ("tree", RingGraph::tree(13, 3)),
+        ("mesh", RingGraph::mesh(12, 42)),
+    ] {
+        for shards in [2usize, 4] {
+            let mut bed = RingChainTestbed::graph_sharded(&sc, kind, &graph, shards);
+            bed.run_until(horizon);
+            assert_eq!(
+                bed.shard_count(),
+                shards,
+                "{name} at {shards} shards must stay sharded"
+            );
+            assert_eq!(bed.bus().profitability(), None, "{name}: prefix completed");
+        }
+    }
 }
