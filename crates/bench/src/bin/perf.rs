@@ -2,17 +2,18 @@
 //!
 //! ```text
 //! perf [--quick] [--seed N] [--json PATH] [--compare PATH]
-//!      [--shards N] [--rings N] [--threads N] [--adaptive]
+//!      [--shards N] [--rings N] [--threads N] [--scale]
 //!      [--topology SHAPE[:RINGS]]...
 //!
 //! --quick        short simulated horizon and a single repetition
 //!                (CI smoke size) instead of the full measurement
 //! --seed N       simulation seed (default 42)
 //! --json PATH    write the machine-readable benchmark report
-//!                (the checked-in BENCH_PR4.json / BENCH_PR5.json /
-//!                BENCH_PR7.json are produced this way)
+//!                (the checked-in BENCH_PR*.json files are produced
+//!                this way)
 //! --compare PATH report-only comparison against a previously written
-//!                report; never fails, prints current vs recorded
+//!                report of any format version; never fails, prints
+//!                current vs recorded
 //! --shards N     also benchmark the conservative-parallel sharded
 //!                scheduler on the N-ring chain, sweeping power-of-two
 //!                shard counts up to N
@@ -27,20 +28,6 @@
 //!                power-of-two shard counts up to --shards (default 4).
 //!                Repeatable; an optional :RINGS overrides --rings per
 //!                shape (e.g. --topology tree:1024 --topology fddi:32)
-//! --adaptive     run every sharded configuration under BOTH window
-//!                protocols — adaptive (the default) and the
-//!                fixed-lookahead ablation baseline — with cross-mode
-//!                ground-truth parity asserted before any timing, and
-//!                report per-mode protocol-efficiency counters
-//!                (windows, sync instants, mailbox rounds, idle-window
-//!                fraction)
-//! --optimistic   additionally run every sharded configuration under
-//!                the optimistic (Time-Warp-style) execution engine —
-//!                same parity rule as every other ablation — and
-//!                report its speculation counters (rollbacks, events
-//!                rolled back, snapshot bytes, GVT rounds) plus the
-//!                headline speculation_efficiency = committed events
-//!                per executed event
 //! --scale        run the city-scale capacity section: build a large
 //!                tree topology (10³ and 10⁴ rings; smaller with
 //!                --quick), recording build wall-time, peak build
@@ -52,38 +39,32 @@
 //!                is reported
 //! ```
 //!
-//! The binary runs test cases A and B to a fixed simulated horizon under
-//! both scheduler modes — [`SchedMode::Indexed`] (the indexed deadline
-//! heap with reusable routing buffers) and [`SchedMode::LazyBaseline`]
-//! (which reproduces the pre-change lazy-invalidation heap and its
-//! per-step/per-event allocation profile) — and reports events/sec plus
-//! the cross-mode speedup. Both modes must produce bit-identical ground
-//! truth: the run asserts that every edge-log digest and the serviced
-//! event count agree before any timing is reported, so the speedup can
-//! never come from simulating something different.
+//! The binary runs test cases A and B to a fixed simulated horizon and
+//! reports events/sec, best of three repetitions; every repetition must
+//! reproduce the same edge-log digests and event count.
 //!
 //! With `--shards N` it additionally runs the scaled ring-chain scenario
-//! on the single-threaded indexed scheduler (the ground truth and the
-//! PR-4 baseline) and on the sharded conservative-parallel scheduler at
-//! each swept shard count. The same parity rule applies per
-//! configuration: edge-log digests and event counts must match the
-//! single-threaded run before the wall clock is reported.
+//! on the single-threaded scheduler (the ground truth and the baseline)
+//! and on the sharded conservative-parallel scheduler at each swept
+//! shard count. Per configuration, edge-log digests and event counts
+//! must match the single-threaded run before the wall clock is
+//! reported.
 //!
-//! Every default-protocol sharded row also records what the
-//! profitability gate made of it: `effective_shards` (1 when the bus
-//! demoted itself to the single-threaded harness after its calibration
-//! prefix) and `prefix_events_per_window`; demoted rows print as
-//! `[fallback]`, so their speedup is never read as a parallel win.
+//! Every sharded row also records what the profitability gate made of
+//! it: `effective_shards` (1 when the bus demoted itself to the
+//! single-threaded harness after its calibration prefix) and
+//! `prefix_events_per_window`; demoted rows print as `[fallback]`, so
+//! their speedup is never read as a parallel win.
 //!
 //! When built with `--features alloc-count` the counting global
 //! allocator is installed and a steady-state window on the synthetic
-//! allocation-free ring (`ctms_sim::synth`) measures allocations/event
-//! for both modes; the indexed scheduler must come out at exactly zero.
+//! allocation-free ring (`ctms_sim::synth`) measures allocations/event;
+//! the scheduler must come out at exactly zero.
 
 use ctms_core::{Profitability, RingChainTestbed, RingGraph, Scenario, ShardedChain, Testbed};
 use ctms_router::BridgeKind;
 use ctms_sim::telemetry::{json_f64, json_string};
-use ctms_sim::{ExecMode, SchedMode, SimTime, WindowMode};
+use ctms_sim::SimTime;
 use ctms_unixkern::MeasurePoint;
 
 #[cfg(feature = "alloc-count")]
@@ -117,16 +98,7 @@ struct ModeRun {
 
 struct CaseResult {
     name: &'static str,
-    indexed: ModeRun,
-    lazy: ModeRun,
-}
-
-impl CaseResult {
-    fn speedup(&self) -> f64 {
-        // Identical event counts (asserted), so the events/sec ratio
-        // reduces to the wall-clock ratio.
-        self.lazy.wall_secs / self.indexed.wall_secs
-    }
+    run: ModeRun,
 }
 
 fn main() {
@@ -138,16 +110,12 @@ fn main() {
     let mut shards: Option<usize> = None;
     let mut rings = DEFAULT_CHAIN_RINGS;
     let mut threads: Option<usize> = None;
-    let mut adaptive = false;
-    let mut optimistic = false;
     let mut scale = false;
     let mut topologies: Vec<(String, Option<usize>)> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--adaptive" => adaptive = true,
-            "--optimistic" => optimistic = true,
             "--scale" => scale = true,
             "--seed" => {
                 seed = it
@@ -252,58 +220,24 @@ fn main() {
     ];
     let mut results = Vec::new();
     for (name, sc) in &cases {
-        let indexed = measure_case(sc, SchedMode::Indexed, horizon_secs, reps);
-        let lazy = measure_case(sc, SchedMode::LazyBaseline, horizon_secs, reps);
-        // Ground-truth parity: the optimized scheduler must service the
-        // exact same events in the exact same order as the baseline.
-        assert_eq!(
-            indexed.digests, lazy.digests,
-            "{name}: scheduler modes disagree on ground truth"
-        );
-        assert_eq!(
-            indexed.events, lazy.events,
-            "{name}: scheduler modes disagree on serviced event count"
-        );
-        let case = CaseResult {
-            name,
-            indexed,
-            lazy,
-        };
+        let run = measure_case(sc, horizon_secs, reps);
         eprintln!(
-            "# {name}: indexed {:.1}ms ({:.2}M ev/s)  lazy {:.1}ms ({:.2}M ev/s)  speedup {:.2}x",
-            case.indexed.wall_secs * 1e3,
-            case.indexed.events as f64 / case.indexed.wall_secs / 1e6,
-            case.lazy.wall_secs * 1e3,
-            case.lazy.events as f64 / case.lazy.wall_secs / 1e6,
-            case.speedup()
+            "# {name}: {:.1}ms ({:.2}M ev/s)",
+            run.wall_secs * 1e3,
+            run.events as f64 / run.wall_secs / 1e6
         );
-        results.push(case);
+        results.push(CaseResult { name, run });
     }
 
-    let chain = shards.map(|max_shards| {
-        let chain_horizon = if quick {
-            CHAIN_QUICK_HORIZON_SECS
-        } else {
-            CHAIN_HORIZON_SECS
-        };
-        measure_chain(
-            seed,
-            rings,
-            max_shards,
-            threads,
-            chain_horizon,
-            reps,
-            adaptive,
-            optimistic,
-        )
-    });
-
-    let topo_horizon = if quick {
+    let shard_horizon_secs = if quick {
         CHAIN_QUICK_HORIZON_SECS
     } else {
         CHAIN_HORIZON_SECS
     };
-    let topo_results: Vec<TopoResult> = topologies
+    let chain = shards.map(|max_shards| {
+        measure_chain(seed, rings, max_shards, threads, shard_horizon_secs, reps)
+    });
+    let topo_results: Vec<ShapeResult> = topologies
         .iter()
         .map(|(shape, n)| {
             measure_topology(
@@ -312,10 +246,8 @@ fn main() {
                 n.unwrap_or(rings),
                 shards.unwrap_or(4),
                 threads,
-                topo_horizon,
+                shard_horizon_secs,
                 reps,
-                adaptive,
-                optimistic,
             )
         })
         .collect();
@@ -333,8 +265,8 @@ fn main() {
     let steady = steady_state_allocs();
     if let Some(s) = &steady {
         eprintln!(
-            "# steady-state synth ring: indexed {} allocs / {} events, baseline {} allocs / {} events",
-            s.indexed_allocs, s.events, s.lazy_allocs, s.events
+            "# steady-state synth ring: {} allocs / {} events",
+            s.allocs, s.events
         );
     }
 
@@ -363,30 +295,12 @@ fn main() {
     }
 }
 
-fn measure_case(sc: &Scenario, mode: SchedMode, horizon_secs: u64, reps: usize) -> ModeRun {
+/// Best-of-`reps` wall clock of `once`, with every repetition asserted
+/// to reproduce the same ground truth and event count.
+fn best_of(reps: usize, mut once: impl FnMut() -> ModeRun) -> ModeRun {
     let mut best: Option<ModeRun> = None;
     for _ in 0..reps {
-        let mut bed = Testbed::ctms_with_mode(sc, mode);
-        let t0 = std::time::Instant::now();
-        bed.run_until(SimTime::from_secs(horizon_secs));
-        let wall_secs = t0.elapsed().as_secs_f64();
-        let events = bed.bus().events();
-        let get = |host: usize, point: MeasurePoint| {
-            bed.truth_log(host, point)
-                .map(|log| log.digest())
-                .unwrap_or(0)
-        };
-        let digests = [
-            get(0, MeasurePoint::VcaIrq),
-            get(0, MeasurePoint::VcaHandlerEntry),
-            get(0, MeasurePoint::PreTransmit),
-            get(1, MeasurePoint::CtmspIdentified),
-        ];
-        let run = ModeRun {
-            events,
-            wall_secs,
-            digests,
-        };
+        let run = once();
         if let Some(b) = &best {
             assert_eq!(b.digests, run.digests, "repetition changed ground truth");
             assert_eq!(b.events, run.events, "repetition changed event count");
@@ -396,6 +310,25 @@ fn measure_case(sc: &Scenario, mode: SchedMode, horizon_secs: u64, reps: usize) 
         }
     }
     best.expect("at least one repetition")
+}
+
+fn measure_case(sc: &Scenario, horizon_secs: u64, reps: usize) -> ModeRun {
+    best_of(reps, || {
+        let mut bed = Testbed::ctms(sc);
+        let t0 = std::time::Instant::now();
+        bed.run_until(SimTime::from_secs(horizon_secs));
+        let wall_secs = t0.elapsed().as_secs_f64();
+        let get = |host: usize, point: MeasurePoint| {
+            bed.truth_log(host, point)
+                .map(|log| log.digest())
+                .unwrap_or(0)
+        };
+        ModeRun {
+            events: bed.bus().events(),
+            wall_secs,
+            digests: chain_digests(get),
+        }
+    })
 }
 
 /// Protocol-efficiency counters for one sharded run, read from the
@@ -434,42 +367,6 @@ fn window_stats(bus: &ctms_core::ShardedBus, shards: usize) -> Option<WindowStat
     })
 }
 
-/// Speculation counters for one optimistic run, read from the exec
-/// registry. Deterministic like the window schedule (the coordinator's
-/// rounds are data-parallel with barriers, so rollback decisions do not
-/// depend on thread interleaving); asserted stable across repetitions.
-#[derive(Clone, Copy, PartialEq)]
-struct OptStats {
-    rollbacks: u64,
-    events_rolled_back: u64,
-    snapshot_bytes: u64,
-    gvt_rounds: u64,
-}
-
-impl OptStats {
-    /// Committed events per executed event: 1.0 means no speculative
-    /// work was wasted, lower means rollback replay dominated.
-    fn efficiency(&self, committed: u64) -> f64 {
-        let executed = committed + self.events_rolled_back;
-        if executed == 0 {
-            1.0
-        } else {
-            committed as f64 / executed as f64
-        }
-    }
-}
-
-fn opt_stats(bus: &ctms_core::ShardedBus) -> Option<OptStats> {
-    let reg = bus.exec_telemetry()?;
-    let count = |key: &str| reg.counter_value(key).unwrap_or(0);
-    Some(OptStats {
-        rollbacks: count("sched.rollbacks"),
-        events_rolled_back: count("sched.events_rolled_back"),
-        snapshot_bytes: count("sched.snapshot_bytes"),
-        gvt_rounds: count("sched.gvt_rounds"),
-    })
-}
-
 /// What the profitability gate made of one sharded run: the shard
 /// count that actually ran to the horizon and the calibration prefix's
 /// measurement (`None` when the run never completed the prefix).
@@ -502,50 +399,41 @@ impl GateStats {
 struct ChainSharded {
     shards: usize,
     threads: usize,
-    /// The default protocol (adaptive windows).
     run: ModeRun,
     window: Option<WindowStats>,
     gate: GateStats,
-    /// The fixed-lookahead ablation baseline, measured with `--adaptive`.
-    fixed: Option<(ModeRun, WindowStats)>,
-    /// The optimistic-engine ablation, measured with `--optimistic`.
-    optimistic: Option<(ModeRun, WindowStats, OptStats)>,
 }
 
-struct ChainResult {
+/// A single-threaded run and its sharded sweep, for the chain or one
+/// generated topology.
+struct ShapeResult {
+    shape: String,
     rings: usize,
     horizon_secs: u64,
     single: ModeRun,
     sharded: Vec<ChainSharded>,
 }
 
-/// Measures one sharded configuration under one window protocol:
-/// best-of-`reps` wall clock, with ground-truth parity against
-/// `single` asserted on every repetition before the timing is kept,
-/// and the (deterministic) protocol-efficiency counters asserted
-/// stable across repetitions.
+/// Measures one sharded configuration: best-of-`reps` wall clock, with
+/// ground-truth parity against `single` asserted on every repetition
+/// before the timing is kept, and the (deterministic) window counters
+/// and profitability verdict asserted stable across repetitions.
 #[allow(clippy::too_many_arguments)]
-fn measure_sharded_mode(
+fn measure_sharded(
     build: &dyn Fn() -> ShardedChain,
     digests_of: &dyn Fn(&ShardedChain) -> [u64; 4],
-    mode: WindowMode,
-    exec: ExecMode,
     k: usize,
     workers: usize,
     horizon: SimTime,
     reps: usize,
     single: &ModeRun,
     label: &str,
-) -> (ModeRun, Option<WindowStats>, Option<OptStats>, GateStats) {
-    let mut best: Option<ModeRun> = None;
-    let mut stats: Option<WindowStats> = None;
-    let mut spec: Option<OptStats> = None;
+) -> ChainSharded {
+    let mut window: Option<Option<WindowStats>> = None;
     let mut gate: Option<GateStats> = None;
-    for _ in 0..reps {
+    let run = best_of(reps, || {
         let mut bed = build();
         assert_eq!(bed.shard_count(), k, "{label} must partition into {k}");
-        bed.bus_mut().set_window_mode(mode);
-        bed.bus_mut().set_exec_mode(exec);
         bed.set_threads(workers);
         let t0 = std::time::Instant::now();
         bed.run_until(horizon);
@@ -556,99 +444,95 @@ fn measure_sharded_mode(
             digests: digests_of(&bed),
         };
         // Ground-truth parity before timing is reported: the parallel
-        // run must have simulated the exact same world — under either
-        // window protocol.
+        // run must have simulated the exact same world.
         assert_eq!(
             run.digests, single.digests,
-            "{label} shards={k} ({mode:?}, {exec:?}): sharded scheduler changed ground truth"
+            "{label} shards={k}: sharded scheduler changed ground truth"
         );
         assert_eq!(
             run.events, single.events,
-            "{label} shards={k} ({mode:?}, {exec:?}): sharded scheduler changed event count"
+            "{label} shards={k}: sharded scheduler changed event count"
         );
-        let s = window_stats(bed.bus(), k);
-        if let (Some(prev), Some(now)) = (&stats, &s) {
-            assert!(
-                prev == now,
-                "{label} shards={k} ({mode:?}, {exec:?}): window schedule varied across repetitions"
-            );
-        }
-        stats = s;
-        let o = (exec == ExecMode::Optimistic)
-            .then(|| opt_stats(bed.bus()))
-            .flatten();
-        if let (Some(prev), Some(now)) = (&spec, &o) {
-            assert!(
-                prev == now,
-                "{label} shards={k} ({mode:?}, {exec:?}): speculation schedule varied across repetitions"
-            );
-        }
-        spec = o;
+        let w = window_stats(bed.bus(), k);
+        assert!(
+            window.is_none_or(|prev| prev == w),
+            "{label} shards={k}: window schedule varied across repetitions"
+        );
+        window = Some(w);
         let g = GateStats::of(&bed);
         assert!(
             gate.is_none_or(|prev| prev == g),
-            "{label} shards={k} ({mode:?}, {exec:?}): profitability verdict varied across repetitions"
+            "{label} shards={k}: profitability verdict varied across repetitions"
         );
         gate = Some(g);
-        if best.as_ref().is_none_or(|b| run.wall_secs < b.wall_secs) {
-            best = Some(run);
-        }
+        run
+    });
+    ChainSharded {
+        shards: k,
+        threads: workers,
+        run,
+        window: window.flatten(),
+        gate: gate.expect("at least one repetition"),
     }
-    (
-        best.expect("at least one repetition"),
-        stats,
-        spec,
-        gate.expect("at least one repetition"),
-    )
 }
 
-/// One stderr progress line per measured sharded configuration,
-/// including the protocol-efficiency counters when available.
+/// Measures every power-of-two shard count from 2 up to `max_shards`
+/// against `single`, with one stderr progress line per configuration.
 #[allow(clippy::too_many_arguments)]
-fn report_sharded(
+fn sweep_shards(
     label: &str,
-    k: usize,
-    workers: usize,
-    run: &ModeRun,
+    build: &dyn Fn(usize) -> ShardedChain,
+    digests_of: &dyn Fn(&ShardedChain) -> [u64; 4],
+    max_shards: usize,
+    threads: Option<usize>,
+    horizon: SimTime,
+    reps: usize,
     single: &ModeRun,
-    window: Option<&WindowStats>,
-    spec: Option<&OptStats>,
-    gate: Option<&GateStats>,
-    tag: Option<&str>,
-) {
-    // A demoted run is the single-threaded bus after a short sharded
-    // prefix: tag it so its speedup never reads as a parallel win.
-    let tag = tag
-        .or(gate.filter(|g| g.effective_shards < k).map(|_| "fallback"))
-        .map(|t| format!(" [{t}]"))
-        .unwrap_or_default();
-    let counters = window
-        .map(|w| {
-            format!(
-                "  windows {} sync {} mail {} idle {:.0}%",
-                w.windows,
-                w.sync_instants,
-                w.mail_rounds,
-                w.idle_fraction * 100.0
-            )
-        })
-        .unwrap_or_default();
-    let speculation = spec
-        .map(|o| {
-            format!(
-                "  rollbacks {} eff {:.1}%",
-                o.rollbacks,
-                o.efficiency(run.events) * 100.0
-            )
-        })
-        .unwrap_or_default();
-    let gate = gate.map(GateStats::describe).unwrap_or_default();
-    eprintln!(
-        "# {label}: shards={k} threads={workers}{tag} {:.1}ms ({:.2}M ev/s)  speedup {:.2}x{counters}{speculation}{gate}",
-        run.wall_secs * 1e3,
-        run.events as f64 / run.wall_secs / 1e6,
-        single.wall_secs / run.wall_secs
-    );
+) -> Vec<ChainSharded> {
+    let mut sharded = Vec::new();
+    let mut k = 2;
+    while k <= max_shards {
+        let workers = threads.unwrap_or_else(|| ctms_sim::default_threads(k));
+        let s = measure_sharded(
+            &|| build(k),
+            digests_of,
+            k,
+            workers,
+            horizon,
+            reps,
+            single,
+            label,
+        );
+        // A demoted run is the single-threaded bus after a short sharded
+        // prefix: tag it so its speedup never reads as a parallel win.
+        let tag = if s.gate.effective_shards < k {
+            " [fallback]"
+        } else {
+            ""
+        };
+        let counters = s
+            .window
+            .map(|w| {
+                format!(
+                    "  windows {} sync {} mail {} idle {:.0}%",
+                    w.windows,
+                    w.sync_instants,
+                    w.mail_rounds,
+                    w.idle_fraction * 100.0
+                )
+            })
+            .unwrap_or_default();
+        eprintln!(
+            "# {label}: shards={k} threads={workers}{tag} {:.1}ms ({:.2}M ev/s)  speedup {:.2}x{counters}{}",
+            s.run.wall_secs * 1e3,
+            s.run.events as f64 / s.run.wall_secs / 1e6,
+            single.wall_secs / s.run.wall_secs,
+            s.gate.describe()
+        );
+        sharded.push(s);
+        k *= 2;
+    }
+    sharded
 }
 
 fn chain_digests(mut get: impl FnMut(usize, MeasurePoint) -> u64) -> [u64; 4] {
@@ -660,13 +544,19 @@ fn chain_digests(mut get: impl FnMut(usize, MeasurePoint) -> u64) -> [u64; 4] {
     ]
 }
 
-/// Benchmarks the scaled `rings`-ring chain: single-threaded indexed
-/// (the ground truth and the baseline) against the sharded
+fn set_digests(set: &ctms_measure::MeasurementSet) -> [u64; 4] {
+    [
+        set.vca_irq.digest(),
+        set.handler.digest(),
+        set.pre_tx.digest(),
+        set.ctmsp_rx.digest(),
+    ]
+}
+
+/// Benchmarks the scaled `rings`-ring chain: single-threaded (the
+/// ground truth and the baseline) against the sharded
 /// conservative-parallel scheduler at every power-of-two shard count up
-/// to `max_shards`. Per configuration, edge-log digests and serviced
-/// event counts are asserted equal to the single-threaded run before
-/// any wall clock is reported.
-#[allow(clippy::too_many_arguments)]
+/// to `max_shards`.
 fn measure_chain(
     seed: u64,
     rings: usize,
@@ -674,20 +564,16 @@ fn measure_chain(
     threads: Option<usize>,
     horizon_secs: u64,
     reps: usize,
-    adaptive: bool,
-    optimistic: bool,
-) -> ChainResult {
+) -> ShapeResult {
     let sc = Scenario::scaled_chain(seed);
-    let kind = BridgeKind::cut_through_bridge();
     let horizon = SimTime::from_secs(horizon_secs);
-
-    let mut single: Option<ModeRun> = None;
-    for _ in 0..reps {
+    let kind = BridgeKind::cut_through_bridge();
+    let single = best_of(reps, || {
         let mut bed = RingChainTestbed::chain(&sc, kind, rings);
         let t0 = std::time::Instant::now();
         bed.run_until(horizon);
         let wall_secs = t0.elapsed().as_secs_f64();
-        let run = ModeRun {
+        ModeRun {
             events: bed.bus().events(),
             wall_secs,
             digests: chain_digests(|host, point| {
@@ -697,128 +583,33 @@ fn measure_chain(
                     .map(|log| log.digest())
                     .unwrap_or(0)
             }),
-        };
-        if let Some(b) = &single {
-            assert_eq!(b.digests, run.digests, "repetition changed ground truth");
-            assert_eq!(b.events, run.events, "repetition changed event count");
         }
-        if single.as_ref().is_none_or(|b| run.wall_secs < b.wall_secs) {
-            single = Some(run);
-        }
-    }
-    let single = single.expect("at least one repetition");
+    });
     eprintln!(
         "# chain/{rings}: single-threaded {:.1}ms ({:.2}M ev/s, {} events)",
         single.wall_secs * 1e3,
         single.events as f64 / single.wall_secs / 1e6,
         single.events
     );
-
-    let mut sharded = Vec::new();
-    let mut k = 2;
-    while k <= max_shards {
-        let workers = threads.unwrap_or_else(|| ctms_sim::default_threads(k));
-        let label = format!("chain/{rings}");
-        let build = || RingChainTestbed::chain_sharded(&sc, kind, rings, k);
-        let digests_of = |bed: &ShardedChain| {
+    let sharded = sweep_shards(
+        &format!("chain/{rings}"),
+        &|k| RingChainTestbed::chain_sharded(&sc, kind, rings, k),
+        &|bed| {
             chain_digests(|host, point| {
                 bed.bus()
                     .truth_log(host, point)
                     .map(|log| log.digest())
                     .unwrap_or(0)
             })
-        };
-        let (run, window, _, gate) = measure_sharded_mode(
-            &build,
-            &digests_of,
-            WindowMode::Adaptive,
-            ExecMode::Conservative,
-            k,
-            workers,
-            horizon,
-            reps,
-            &single,
-            &label,
-        );
-        report_sharded(
-            &label,
-            k,
-            workers,
-            &run,
-            &single,
-            window.as_ref(),
-            None,
-            Some(&gate),
-            None,
-        );
-        let fixed = adaptive.then(|| {
-            let (run, stats, _, _) = measure_sharded_mode(
-                &build,
-                &digests_of,
-                WindowMode::FixedLookahead,
-                ExecMode::Conservative,
-                k,
-                workers,
-                horizon,
-                reps,
-                &single,
-                &label,
-            );
-            let stats = stats.expect("sharded run must expose execution telemetry");
-            report_sharded(
-                &label,
-                k,
-                workers,
-                &run,
-                &single,
-                Some(&stats),
-                None,
-                None,
-                Some("fixed"),
-            );
-            (run, stats)
-        });
-        let optimistic = optimistic.then(|| {
-            let (run, stats, spec, _) = measure_sharded_mode(
-                &build,
-                &digests_of,
-                WindowMode::Adaptive,
-                ExecMode::Optimistic,
-                k,
-                workers,
-                horizon,
-                reps,
-                &single,
-                &label,
-            );
-            let stats = stats.expect("sharded run must expose execution telemetry");
-            let spec = spec.expect("optimistic run must expose speculation counters");
-            report_sharded(
-                &label,
-                k,
-                workers,
-                &run,
-                &single,
-                Some(&stats),
-                Some(&spec),
-                None,
-                Some("opt"),
-            );
-            (run, stats, spec)
-        });
-        sharded.push(ChainSharded {
-            shards: k,
-            threads: workers,
-            run,
-            window,
-            gate,
-            fixed,
-            optimistic,
-        });
-        k *= 2;
-    }
-
-    ChainResult {
+        },
+        max_shards,
+        threads,
+        horizon,
+        reps,
+        &single,
+    );
+    ShapeResult {
+        shape: "chain".to_string(),
         rings,
         horizon_secs,
         single,
@@ -826,21 +617,11 @@ fn measure_chain(
     }
 }
 
-struct TopoResult {
-    shape: String,
-    rings: usize,
-    horizon_secs: u64,
-    single: ModeRun,
-    sharded: Vec<ChainSharded>,
-}
-
-/// Benchmarks one generated graph topology: single-threaded indexed
-/// (ground truth) against the graph-partitioned sharded scheduler at
-/// every power-of-two shard count up to `max_shards`. Same parity rule
-/// as the chain benchmark — edge-log digests and serviced event counts
-/// must match the single-threaded run before any wall clock is
-/// reported, which is what makes per-shape wall clocks comparable.
-#[allow(clippy::too_many_arguments)]
+/// Benchmarks one generated graph topology: single-threaded (ground
+/// truth) against the graph-partitioned sharded scheduler at every
+/// power-of-two shard count up to `max_shards`. Same parity rule as the
+/// chain benchmark, which is what makes per-shape wall clocks
+/// comparable.
 fn measure_topology(
     seed: u64,
     shape: &str,
@@ -849,148 +630,40 @@ fn measure_topology(
     threads: Option<usize>,
     horizon_secs: u64,
     reps: usize,
-    adaptive: bool,
-    optimistic: bool,
-) -> TopoResult {
+) -> ShapeResult {
     let sc = Scenario::scaled_chain(seed);
+    let horizon = SimTime::from_secs(horizon_secs);
     let kind = BridgeKind::cut_through_bridge();
     let graph = RingGraph::named(shape, rings, seed)
         .unwrap_or_else(|| die(&format!("unknown topology shape {shape}")));
-    let horizon = SimTime::from_secs(horizon_secs);
-    let set_digests = |set: &ctms_measure::MeasurementSet| {
-        [
-            set.vca_irq.digest(),
-            set.handler.digest(),
-            set.pre_tx.digest(),
-            set.ctmsp_rx.digest(),
-        ]
-    };
-
-    let mut single: Option<ModeRun> = None;
-    for _ in 0..reps {
+    let single = best_of(reps, || {
         let mut bed = RingChainTestbed::graph(&sc, kind, &graph);
         let t0 = std::time::Instant::now();
         bed.run_until(horizon);
         let wall_secs = t0.elapsed().as_secs_f64();
-        let run = ModeRun {
+        ModeRun {
             events: bed.bus().events(),
             wall_secs,
             digests: set_digests(&bed.measurement_set()),
-        };
-        if let Some(b) = &single {
-            assert_eq!(b.digests, run.digests, "repetition changed ground truth");
-            assert_eq!(b.events, run.events, "repetition changed event count");
         }
-        if single.as_ref().is_none_or(|b| run.wall_secs < b.wall_secs) {
-            single = Some(run);
-        }
-    }
-    let single = single.expect("at least one repetition");
+    });
     eprintln!(
         "# {shape}/{rings}: single-threaded {:.1}ms ({:.2}M ev/s, {} events)",
         single.wall_secs * 1e3,
         single.events as f64 / single.wall_secs / 1e6,
         single.events
     );
-
-    let mut sharded = Vec::new();
-    let mut k = 2;
-    while k <= max_shards {
-        let workers = threads.unwrap_or_else(|| ctms_sim::default_threads(k));
-        let label = format!("{shape}/{rings}");
-        let build = || RingChainTestbed::graph_sharded(&sc, kind, &graph, k);
-        let digests_of = |bed: &ShardedChain| set_digests(&bed.measurement_set());
-        let (run, window, _, gate) = measure_sharded_mode(
-            &build,
-            &digests_of,
-            WindowMode::Adaptive,
-            ExecMode::Conservative,
-            k,
-            workers,
-            horizon,
-            reps,
-            &single,
-            &label,
-        );
-        report_sharded(
-            &label,
-            k,
-            workers,
-            &run,
-            &single,
-            window.as_ref(),
-            None,
-            Some(&gate),
-            None,
-        );
-        let fixed = adaptive.then(|| {
-            let (run, stats, _, _) = measure_sharded_mode(
-                &build,
-                &digests_of,
-                WindowMode::FixedLookahead,
-                ExecMode::Conservative,
-                k,
-                workers,
-                horizon,
-                reps,
-                &single,
-                &label,
-            );
-            let stats = stats.expect("sharded run must expose execution telemetry");
-            report_sharded(
-                &label,
-                k,
-                workers,
-                &run,
-                &single,
-                Some(&stats),
-                None,
-                None,
-                Some("fixed"),
-            );
-            (run, stats)
-        });
-        let optimistic = optimistic.then(|| {
-            let (run, stats, spec, _) = measure_sharded_mode(
-                &build,
-                &digests_of,
-                WindowMode::Adaptive,
-                ExecMode::Optimistic,
-                k,
-                workers,
-                horizon,
-                reps,
-                &single,
-                &label,
-            );
-            let stats = stats.expect("sharded run must expose execution telemetry");
-            let spec = spec.expect("optimistic run must expose speculation counters");
-            report_sharded(
-                &label,
-                k,
-                workers,
-                &run,
-                &single,
-                Some(&stats),
-                Some(&spec),
-                None,
-                Some("opt"),
-            );
-            (run, stats, spec)
-        });
-        sharded.push(ChainSharded {
-            shards: k,
-            threads: workers,
-            run,
-            window,
-            gate,
-            fixed,
-            optimistic,
-        });
-        k *= 2;
-    }
-
-    TopoResult {
+    let sharded = sweep_shards(
+        &format!("{shape}/{rings}"),
+        &|k| RingChainTestbed::graph_sharded(&sc, kind, &graph, k),
+        &|bed| set_digests(&bed.measurement_set()),
+        max_shards,
+        threads,
+        horizon,
+        reps,
+        &single,
+    );
+    ShapeResult {
         shape: shape.to_string(),
         rings,
         horizon_secs,
@@ -1075,15 +748,6 @@ fn measure_scale_entry(seed: u64, rings: usize, quick: bool, reps: usize) -> Sca
     let kind = BridgeKind::cut_through_bridge();
     let horizon_ms = scale_horizon_ms(rings, quick);
     let horizon = SimTime::from_ms(horizon_ms);
-    let set_digests = |set: &ctms_measure::MeasurementSet| {
-        [
-            set.vca_irq.digest(),
-            set.handler.digest(),
-            set.pre_tx.digest(),
-            set.ctmsp_rx.digest(),
-        ]
-    };
-
     // Build: graph generation plus topology construction, timed as one
     // region — this is the "10⁴ rings build in seconds" claim.
     let live0 = peak_region_start();
@@ -1228,30 +892,22 @@ fn measure_scale_entry(seed: u64, rings: usize, quick: bool, reps: usize) -> Sca
 
 struct SteadyState {
     events: u64,
-    indexed_allocs: u64,
-    lazy_allocs: u64,
+    allocs: u64,
 }
 
 /// Measures allocations/event over a steady-state window on the
-/// synthetic allocation-free ring, per scheduler mode. Only meaningful
-/// with the counting allocator installed; returns `None` otherwise.
+/// synthetic allocation-free ring. Only meaningful with the counting
+/// allocator installed; returns `None` otherwise.
 #[cfg(feature = "alloc-count")]
 fn steady_state_allocs() -> Option<SteadyState> {
-    let window = |mode: SchedMode| -> (u64, u64) {
-        let mut h = ctms_sim::synth::build_ring_with_mode(16, 1_000, 4, mode);
-        h.run_until(SimTime::from_ns(2_000_000)); // warm-up: buffers reach capacity
-        let events0 = h.events();
-        let allocs0 = ALLOC.allocations();
-        h.run_until(SimTime::from_ns(10_000_000));
-        (h.events() - events0, ALLOC.allocations() - allocs0)
-    };
-    let (events, indexed_allocs) = window(SchedMode::Indexed);
-    let (lazy_events, lazy_allocs) = window(SchedMode::LazyBaseline);
-    assert_eq!(events, lazy_events, "synth ring modes disagree on events");
+    let mut h = ctms_sim::synth::build_ring(16, 1_000, 4);
+    h.run_until(SimTime::from_ns(2_000_000)); // warm-up: buffers reach capacity
+    let events0 = h.events();
+    let allocs0 = ALLOC.allocations();
+    h.run_until(SimTime::from_ns(10_000_000));
     Some(SteadyState {
-        events,
-        indexed_allocs,
-        lazy_allocs,
+        events: h.events() - events0,
+        allocs: ALLOC.allocations() - allocs0,
     })
 }
 
@@ -1278,94 +934,6 @@ fn window_json(w: &WindowStats) -> String {
         w.mail_rounds,
         json_f64(w.idle_fraction)
     )
-}
-
-/// Emits one sharded configuration entry. `indent` is the indentation
-/// of the entry's opening brace. The `window` counters describe the
-/// adaptive (default) run; `fixed_lookahead` is present only for
-/// `--adaptive` reports and carries the ablation baseline plus the
-/// headline `sync_instant_reduction` = fixed sync instants per adaptive
-/// sync instant.
-fn sharded_json(
-    s: &ChainSharded,
-    single: &ModeRun,
-    threads_requested: Option<usize>,
-    indent: &str,
-) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{indent}{{\n"));
-    out.push_str(&format!("{indent}  \"shards\": {},\n", s.shards));
-    out.push_str(&format!("{indent}  \"threads\": {},\n", s.threads));
-    // The thread count actually used is stamped above; this records
-    // whether it was a `--threads` request, so trend tooling can tell
-    // "measured on one core" from "ran with --threads 1 by request".
-    match threads_requested {
-        Some(n) => out.push_str(&format!("{indent}  \"threads_requested\": {n},\n")),
-        None => out.push_str(&format!("{indent}  \"threads_requested\": null,\n")),
-    }
-    out.push_str(&format!("{indent}  \"run\": {},\n", mode_json(&s.run)));
-    out.push_str(&format!(
-        "{indent}  \"speedup\": {},\n",
-        json_f64(single.wall_secs / s.run.wall_secs)
-    ));
-    match &s.window {
-        Some(w) => out.push_str(&format!("{indent}  \"window\": {},\n", window_json(w))),
-        None => out.push_str(&format!("{indent}  \"window\": null,\n")),
-    }
-    out.push_str(&format!(
-        "{indent}  \"effective_shards\": {},\n",
-        s.gate.effective_shards
-    ));
-    match &s.gate.prefix {
-        Some(p) => out.push_str(&format!(
-            "{indent}  \"prefix_events_per_window\": {},\n",
-            json_f64(p.events_per_window())
-        )),
-        None => out.push_str(&format!("{indent}  \"prefix_events_per_window\": null,\n")),
-    }
-    match &s.fixed {
-        Some((run, w)) => {
-            out.push_str(&format!("{indent}  \"fixed_lookahead\": {{\n"));
-            out.push_str(&format!("{indent}    \"run\": {},\n", mode_json(run)));
-            out.push_str(&format!(
-                "{indent}    \"speedup\": {},\n",
-                json_f64(single.wall_secs / run.wall_secs)
-            ));
-            out.push_str(&format!("{indent}    \"window\": {},\n", window_json(w)));
-            let adaptive_sync = s.window.as_ref().map_or(1, |a| a.sync_instants.max(1));
-            out.push_str(&format!(
-                "{indent}    \"sync_instant_reduction\": {}\n",
-                json_f64(w.sync_instants as f64 / adaptive_sync as f64)
-            ));
-            out.push_str(&format!("{indent}  }},\n"));
-        }
-        None => out.push_str(&format!("{indent}  \"fixed_lookahead\": null,\n")),
-    }
-    match &s.optimistic {
-        Some((run, w, o)) => {
-            out.push_str(&format!("{indent}  \"optimistic\": {{\n"));
-            out.push_str(&format!("{indent}    \"run\": {},\n", mode_json(run)));
-            out.push_str(&format!(
-                "{indent}    \"speedup\": {},\n",
-                json_f64(single.wall_secs / run.wall_secs)
-            ));
-            out.push_str(&format!("{indent}    \"window\": {},\n", window_json(w)));
-            out.push_str(&format!(
-                "{indent}    \"speculation\": {{ \"rollbacks\": {}, \"events_rolled_back\": {}, \
-                 \"snapshot_bytes\": {}, \"gvt_rounds\": {}, \"speculation_efficiency\": {} }}\n",
-                o.rollbacks,
-                o.events_rolled_back,
-                o.snapshot_bytes,
-                o.gvt_rounds,
-                json_f64(o.efficiency(run.events))
-            ));
-            out.push_str(&format!("{indent}  }},\n"));
-        }
-        None => out.push_str(&format!("{indent}  \"optimistic\": null,\n")),
-    }
-    out.push_str(&format!("{indent}  \"ground_truth_parity\": true\n"));
-    out.push_str(&format!("{indent}}}"));
-    out
 }
 
 fn scale_json(entries: &[ScaleEntry]) -> String {
@@ -1415,6 +983,77 @@ fn scale_json(entries: &[ScaleEntry]) -> String {
     out
 }
 
+/// Emits one sharded configuration entry. `indent` is the indentation
+/// of the entry's opening brace.
+fn sharded_json(
+    s: &ChainSharded,
+    single: &ModeRun,
+    threads_requested: Option<usize>,
+    indent: &str,
+) -> String {
+    let mut out = String::new();
+    out.push_str(&format!("{indent}{{\n"));
+    out.push_str(&format!("{indent}  \"shards\": {},\n", s.shards));
+    out.push_str(&format!("{indent}  \"threads\": {},\n", s.threads));
+    // The thread count actually used is stamped above; this records
+    // whether it was a `--threads` request, so trend tooling can tell
+    // "measured on one core" from "ran with --threads 1 by request".
+    match threads_requested {
+        Some(n) => out.push_str(&format!("{indent}  \"threads_requested\": {n},\n")),
+        None => out.push_str(&format!("{indent}  \"threads_requested\": null,\n")),
+    }
+    out.push_str(&format!("{indent}  \"run\": {},\n", mode_json(&s.run)));
+    out.push_str(&format!(
+        "{indent}  \"speedup\": {},\n",
+        json_f64(single.wall_secs / s.run.wall_secs)
+    ));
+    match &s.window {
+        Some(w) => out.push_str(&format!("{indent}  \"window\": {},\n", window_json(w))),
+        None => out.push_str(&format!("{indent}  \"window\": null,\n")),
+    }
+    out.push_str(&format!(
+        "{indent}  \"effective_shards\": {},\n",
+        s.gate.effective_shards
+    ));
+    match &s.gate.prefix {
+        Some(p) => out.push_str(&format!(
+            "{indent}  \"prefix_events_per_window\": {},\n",
+            json_f64(p.events_per_window())
+        )),
+        None => out.push_str(&format!("{indent}  \"prefix_events_per_window\": null,\n")),
+    }
+    out.push_str(&format!("{indent}  \"ground_truth_parity\": true\n"));
+    out.push_str(&format!("{indent}}}"));
+    out
+}
+
+/// The body shared by the `chain` section and each `topologies` entry:
+/// everything after the opening brace (and, for topologies, the shape).
+fn shape_json(r: &ShapeResult, threads_requested: Option<usize>, indent: &str) -> String {
+    let mut out = String::new();
+    out.push_str(&format!("{indent}  \"rings\": {},\n", r.rings));
+    out.push_str(&format!(
+        "{indent}  \"horizon_secs\": {},\n",
+        r.horizon_secs
+    ));
+    out.push_str(&format!(
+        "{indent}  \"single\": {},\n",
+        mode_json(&r.single)
+    ));
+    out.push_str(&format!("{indent}  \"sharded\": [\n"));
+    let entries: Vec<String> = r
+        .sharded
+        .iter()
+        .map(|s| sharded_json(s, &r.single, threads_requested, &format!("{indent}    ")))
+        .collect();
+    for (i, e) in entries.iter().enumerate() {
+        out.push_str(e);
+        out.push_str(if i + 1 == entries.len() { "\n" } else { ",\n" });
+    }
+    out.push_str(&format!("{indent}  ]\n"));
+    out
+}
+
 #[allow(clippy::too_many_arguments)]
 fn report_json(
     seed: u64,
@@ -1422,14 +1061,14 @@ fn report_json(
     horizon_secs: u64,
     threads_requested: Option<usize>,
     results: &[CaseResult],
-    chain: Option<&ChainResult>,
-    topologies: &[TopoResult],
+    chain: Option<&ShapeResult>,
+    topologies: &[ShapeResult],
     scale: &[ScaleEntry],
     steady: Option<&SteadyState>,
 ) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"format\": \"ctms-perf/6\",\n");
+    out.push_str("  \"format\": \"ctms-perf/7\",\n");
     out.push_str(&format!("  \"seed\": {seed},\n"));
     out.push_str(&format!("  \"quick\": {quick},\n"));
     out.push_str(&format!("  \"horizon_secs\": {horizon_secs},\n"));
@@ -1447,46 +1086,18 @@ fn report_json(
     out.push_str(&format!("  \"degraded_parallelism\": {},\n", cores == 1));
     out.push_str("  \"cases\": [\n");
     for (i, case) in results.iter().enumerate() {
-        let mode = |m: &ModeRun| {
-            format!(
-                "{{ \"events\": {}, \"wall_secs\": {}, \"events_per_sec\": {} }}",
-                m.events,
-                json_f64(m.wall_secs),
-                json_f64(m.events as f64 / m.wall_secs)
-            )
-        };
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"name\": {},\n", json_string(case.name)));
-        out.push_str(&format!("      \"indexed\": {},\n", mode(&case.indexed)));
-        out.push_str(&format!("      \"lazy_baseline\": {},\n", mode(&case.lazy)));
         out.push_str(&format!(
-            "      \"speedup\": {},\n",
-            json_f64(case.speedup())
+            "    {{ \"name\": {}, \"run\": {} }}",
+            json_string(case.name),
+            mode_json(&case.run)
         ));
-        out.push_str("      \"ground_truth_parity\": true\n");
-        out.push_str(if i + 1 == results.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
+        out.push_str(if i + 1 == results.len() { "\n" } else { ",\n" });
     }
     out.push_str("  ],\n");
     match chain {
         Some(c) => {
             out.push_str("  \"chain\": {\n");
-            out.push_str(&format!("    \"rings\": {},\n", c.rings));
-            out.push_str(&format!("    \"horizon_secs\": {},\n", c.horizon_secs));
-            out.push_str(&format!("    \"single\": {},\n", mode_json(&c.single)));
-            out.push_str("    \"sharded\": [\n");
-            for (i, s) in c.sharded.iter().enumerate() {
-                out.push_str(&sharded_json(s, &c.single, threads_requested, "      "));
-                out.push_str(if i + 1 == c.sharded.len() {
-                    "\n"
-                } else {
-                    ",\n"
-                });
-            }
-            out.push_str("    ]\n");
+            out.push_str(&shape_json(c, threads_requested, "  "));
             out.push_str("  },\n");
         }
         None => out.push_str("  \"chain\": null,\n"),
@@ -1498,19 +1109,7 @@ fn report_json(
         for (i, t) in topologies.iter().enumerate() {
             out.push_str("    {\n");
             out.push_str(&format!("      \"shape\": {},\n", json_string(&t.shape)));
-            out.push_str(&format!("      \"rings\": {},\n", t.rings));
-            out.push_str(&format!("      \"horizon_secs\": {},\n", t.horizon_secs));
-            out.push_str(&format!("      \"single\": {},\n", mode_json(&t.single)));
-            out.push_str("      \"sharded\": [\n");
-            for (j, s) in t.sharded.iter().enumerate() {
-                out.push_str(&sharded_json(s, &t.single, threads_requested, "        "));
-                out.push_str(if j + 1 == t.sharded.len() {
-                    "\n"
-                } else {
-                    ",\n"
-                });
-            }
-            out.push_str("      ]\n");
+            out.push_str(&shape_json(t, threads_requested, "    "));
             out.push_str(if i + 1 == topologies.len() {
                 "    }\n"
             } else {
@@ -1525,37 +1124,29 @@ fn report_json(
         out.push_str(&scale_json(scale));
     }
     match steady {
-        Some(s) => {
-            out.push_str("  \"steady_state\": {\n");
-            out.push_str("    \"workload\": \"synth-ring/16\",\n");
-            out.push_str(&format!("    \"events\": {},\n", s.events));
-            out.push_str(&format!(
-                "    \"indexed\": {{ \"allocations\": {}, \"allocs_per_event\": {} }},\n",
-                s.indexed_allocs,
-                json_f64(s.indexed_allocs as f64 / s.events as f64)
-            ));
-            out.push_str(&format!(
-                "    \"lazy_baseline\": {{ \"allocations\": {}, \"allocs_per_event\": {} }}\n",
-                s.lazy_allocs,
-                json_f64(s.lazy_allocs as f64 / s.events as f64)
-            ));
-            out.push_str("  }\n");
-        }
+        Some(s) => out.push_str(&format!(
+            "  \"steady_state\": {{ \"workload\": \"synth-ring/16\", \"events\": {}, \
+             \"allocations\": {}, \"allocs_per_event\": {} }}\n",
+            s.events,
+            s.allocs,
+            json_f64(s.allocs as f64 / s.events as f64)
+        )),
         None => out.push_str("  \"steady_state\": null\n"),
     }
     out.push_str("}\n");
     out
 }
 
-/// Report-only comparison against a previously written report. Wall
-/// clocks differ across machines, so this never fails the run — it
-/// surfaces the recorded vs current speedups for a human (or a CI log
-/// reader) to eyeball.
+/// Report-only comparison against a previously written report of any
+/// format version. Wall clocks differ across machines, so this never
+/// fails the run — it surfaces the recorded vs current figures for a
+/// human (or a CI log reader) to eyeball: events/sec per test case, and
+/// the speedup per sharded configuration.
 fn compare_report(
     path: &str,
     results: &[CaseResult],
-    chain: Option<&ChainResult>,
-    topologies: &[TopoResult],
+    chain: Option<&ShapeResult>,
+    topologies: &[ShapeResult],
 ) {
     let recorded = match std::fs::read_to_string(path) {
         Ok(s) => s,
@@ -1565,66 +1156,63 @@ fn compare_report(
         }
     };
     for case in results {
-        let rec = extract_speedup_after(&recorded, &format!("\"name\": \"{}\"", case.name));
-        match rec {
+        // The first rate after the case name is the production
+        // scheduler's in every format (older reports list it before
+        // their lazy-baseline rate).
+        let anchor = format!("\"name\": \"{}\"", case.name);
+        let now = case.run.events as f64 / case.run.wall_secs / 1e6;
+        match extract_number_after(&recorded, &anchor, "events_per_sec") {
             Some(r) => eprintln!(
-                "# compare {}: recorded speedup {r:.2}x, this run {:.2}x",
+                "# compare {}: recorded {:.2}M ev/s, this run {now:.2}M ev/s",
                 case.name,
-                case.speedup()
+                r / 1e6
             ),
             None => eprintln!(
-                "# compare {}: no recorded speedup found in {path}",
+                "# compare {}: no recorded events_per_sec found in {path}",
                 case.name
             ),
         }
     }
-    if let Some(c) = chain {
-        for s in &c.sharded {
-            let rec = extract_speedup_after(&recorded, &format!("\"shards\": {}", s.shards));
-            let now = c.single.wall_secs / s.run.wall_secs;
+    let sections = chain
+        .map(|c| (None, c))
+        .into_iter()
+        .chain(topologies.iter().map(|t| (Some(&t.shape), t)));
+    for (shape, r) in sections {
+        // Topologies anchor on the shape name first, then the shard
+        // entry after it.
+        let from = match shape {
+            Some(shape) => recorded.find(&format!("\"shape\": \"{shape}\"")),
+            None => Some(0),
+        };
+        let label = format!("{}/{}", r.shape, r.rings);
+        for s in &r.sharded {
+            let anchor = format!("\"shards\": {}", s.shards);
+            let rec = from.and_then(|at| extract_number_after(&recorded[at..], &anchor, "speedup"));
+            let now = r.single.wall_secs / s.run.wall_secs;
             match rec {
-                Some(r) => eprintln!(
-                    "# compare chain shards={}: recorded speedup {r:.2}x, this run {now:.2}x",
+                Some(rec) => eprintln!(
+                    "# compare {label} shards={}: recorded speedup {rec:.2}x, this run {now:.2}x",
                     s.shards
                 ),
                 None => eprintln!(
-                    "# compare chain shards={}: no recorded speedup found in {path}",
+                    "# compare {label} shards={}: no recorded speedup found in {path}",
                     s.shards
-                ),
-            }
-        }
-    }
-    for t in topologies {
-        for s in &t.sharded {
-            // Anchor on the shape name, then the shard entry after it.
-            let anchor = format!("\"shape\": \"{}\"", t.shape);
-            let rec = recorded.find(&anchor).and_then(|at| {
-                extract_speedup_after(&recorded[at..], &format!("\"shards\": {}", s.shards))
-            });
-            let now = t.single.wall_secs / s.run.wall_secs;
-            match rec {
-                Some(r) => eprintln!(
-                    "# compare {}/{} shards={}: recorded speedup {r:.2}x, this run {now:.2}x",
-                    t.shape, t.rings, s.shards
-                ),
-                None => eprintln!(
-                    "# compare {}/{} shards={}: no recorded speedup found in {path}",
-                    t.shape, t.rings, s.shards
                 ),
             }
         }
     }
 }
 
-/// Pulls the `"speedup": <number>` that follows `anchor` out of a
-/// report without a JSON parser: find the anchor line (a case's
-/// `"name"` or a chain entry's `"shards"` key), then the next
-/// `"speedup"` key after it.
-fn extract_speedup_after(report: &str, anchor: &str) -> Option<f64> {
+/// Pulls the number of the first `"key": <number>` that follows
+/// `anchor` out of a report without a JSON parser: find the anchor (a
+/// case's `"name"` or a sharded entry's `"shards"` key), then the next
+/// `key` after it.
+fn extract_number_after(report: &str, anchor: &str, key: &str) -> Option<f64> {
     let at = report.find(anchor)?;
     let rest = &report[at..];
-    let sp = rest.find("\"speedup\":")?;
-    let tail = rest[sp + "\"speedup\":".len()..].trim_start();
+    let key = format!("\"{key}\":");
+    let sp = rest.find(&key)?;
+    let tail = rest[sp + key.len()..].trim_start();
     let end = tail
         .find(|c: char| {
             !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+')
@@ -1638,4 +1226,4 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-const HELP: &str = "usage: perf [--quick] [--seed N] [--json PATH] [--compare PATH] [--shards N] [--rings N] [--threads N] [--adaptive] [--optimistic] [--scale] [--topology SHAPE[:RINGS]]...";
+const HELP: &str = "usage: perf [--quick] [--seed N] [--json PATH] [--compare PATH] [--shards N] [--rings N] [--threads N] [--scale] [--topology SHAPE[:RINGS]]...";

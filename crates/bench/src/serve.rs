@@ -10,22 +10,20 @@
 //!
 //! ## Session
 //!
-//! The first line selects the scenario and execution mode:
+//! The first line selects the scenario:
 //!
 //! ```text
 //! {"scenario": "case_a" | "case_b" | "chain", "seed": 42,
-//!  "rings": 16, "shards": 4, "exec": "optimistic",
-//!  "cascade_limit": 64}
+//!  "rings": 16, "shards": 4, "cascade_limit": 64}
 //! ```
 //!
-//! `seed` defaults to 42; `rings` (chain only) to 16; `shards` to 1
-//! (single-threaded). Single-ring scenarios always fall back to the
-//! single-threaded harness regardless of `shards`, mirroring
-//! `Topology::build_sharded`. `exec` selects the sharded execution
-//! protocol (`"conservative"`, the default, or `"optimistic"` for
-//! Time-Warp-style speculation); replies are byte-identical either
-//! way. `cascade_limit` overrides the same-instant cascade bound —
-//! mostly useful for deliberately tripping the typed error path.
+//! `seed` defaults to 42; `rings` (chain only) to 16, at most
+//! [`MAX_RINGS`]; `shards` to 1 (single-threaded). Single-ring
+//! scenarios always fall back to the single-threaded harness regardless
+//! of `shards`, mirroring `Topology::build_sharded`; replies are
+//! byte-identical at any shard count. `cascade_limit` overrides the
+//! same-instant cascade bound — mostly useful for deliberately tripping
+//! the typed error path.
 //!
 //! ## Commands
 //!
@@ -69,13 +67,18 @@
 //! Every reply carries `"ok"`; failures are reported as
 //! `{"ok":false,"error":"..."}` and the session keeps serving.
 //! Scheduling failures carry a machine-readable tag alongside the
-//! prose: `{"ok":false,"kind":"overflow"|"cross_shard"|"speculation",
-//! "at_ns":N,"error":"..."}` — one kind per `CascadeError` variant.
-//! Input past the session's limits is refused the same way, before it
-//! is parsed or buffered whole: `{"ok":false,"kind":"line_too_long",
+//! prose: `{"ok":false,"kind":"overflow"|"cross_shard","at_ns":N,
+//! "error":"..."}` — one kind per `CascadeError` variant. Input past
+//! the session's limits is refused the same way, before it is parsed
+//! or buffered whole: `{"ok":false,"kind":"line_too_long",
 //! "error":"..."}` for a line longer than [`MAX_LINE_BYTES`] and
 //! `{"ok":false,"kind":"too_deep","error":"..."}` for arrays and objects
-//! nested deeper than [`MAX_DEPTH`].
+//! nested deeper than [`MAX_DEPTH`]; a chain of more than [`MAX_RINGS`]
+//! rings is refused with `"kind":"too_many_rings"` before it is built.
+//! A number too large for the field it sets (a `cascade_limit` past
+//! `u32`, a time whose nanoseconds overflow the simulated clock, a
+//! purge `count` past `u32`) is refused with `"kind":"out_of_range"`
+//! instead of being truncated or wrapped.
 //! The
 //! simulation is deterministic throughout: the same command script
 //! against the same session line produces byte-identical stdout.
@@ -443,25 +446,65 @@ fn from_hex(s: &str) -> Result<Vec<u8>, String> {
 
 // --- Session --------------------------------------------------------------
 
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 enum ScenarioKind {
     CaseA,
     CaseB,
     Chain,
 }
 
-#[derive(Clone)]
+/// Most rings a `chain` session may ask for; a larger chain is refused
+/// with a `too_many_rings` error before it is built. 10^4 rings is the
+/// largest graph the `perf --scale` capacity section exercises.
+pub const MAX_RINGS: u64 = 10_000;
+
+/// A refused session line or command: the prose, plus a
+/// machine-readable kind when the input crossed one of the session's
+/// limits.
+#[derive(Debug)]
+struct Refusal {
+    kind: Option<&'static str>,
+    msg: String,
+}
+
+impl From<String> for Refusal {
+    fn from(msg: String) -> Self {
+        Refusal { kind: None, msg }
+    }
+}
+
+impl From<&str> for Refusal {
+    fn from(msg: &str) -> Self {
+        Refusal::from(msg.to_string())
+    }
+}
+
+/// The refusal for a number too large for the field `key` it sets.
+fn out_of_range(key: &str, n: u64) -> Refusal {
+    Refusal {
+        kind: Some("out_of_range"),
+        msg: format!("\"{key}\" {n} is out of range"),
+    }
+}
+
+/// `ms` milliseconds as simulated nanoseconds, refused when they
+/// overflow the clock.
+fn ms_to_ns(key: &str, ms: u64) -> Result<u64, Refusal> {
+    ms.checked_mul(1_000_000)
+        .ok_or_else(|| out_of_range(key, ms))
+}
+
+#[derive(Clone, Debug)]
 struct Spec {
     kind: ScenarioKind,
     seed: u64,
     rings: usize,
     shards: usize,
-    optimistic: bool,
     cascade_limit: Option<u32>,
 }
 
 impl Spec {
-    fn parse(v: &Json) -> Result<Spec, String> {
+    fn parse(v: &Json) -> Result<Spec, Refusal> {
         let kind = match v
             .get("scenario")
             .and_then(Json::as_str)
@@ -470,27 +513,30 @@ impl Spec {
             "case_a" => ScenarioKind::CaseA,
             "case_b" => ScenarioKind::CaseB,
             "chain" => ScenarioKind::Chain,
-            other => return Err(format!("unknown scenario \"{other}\"")),
+            other => return Err(format!("unknown scenario \"{other}\"").into()),
         };
-        let rings = v.get("rings").and_then(Json::as_u64).unwrap_or(16) as usize;
-        if matches!(kind, ScenarioKind::Chain) && rings < 2 {
-            return Err("chain needs rings >= 2".to_string());
+        let rings = v.get("rings").and_then(Json::as_u64).unwrap_or(16);
+        if matches!(kind, ScenarioKind::Chain) {
+            if rings < 2 {
+                return Err("chain needs rings >= 2".into());
+            }
+            if rings > MAX_RINGS {
+                return Err(Refusal {
+                    kind: Some("too_many_rings"),
+                    msg: format!("chain of {rings} rings exceeds the {MAX_RINGS}-ring limit"),
+                });
+            }
         }
-        let optimistic = match v.get("exec").and_then(Json::as_str) {
-            None | Some("conservative") => false,
-            Some("optimistic") => true,
-            Some(other) => return Err(format!("unknown exec mode \"{other}\"")),
+        let cascade_limit = match v.get("cascade_limit").and_then(Json::as_u64) {
+            Some(n) => Some(u32::try_from(n.max(1)).map_err(|_| out_of_range("cascade_limit", n))?),
+            None => None,
         };
         Ok(Spec {
             kind,
             seed: v.get("seed").and_then(Json::as_u64).unwrap_or(42),
-            rings,
+            rings: rings as usize,
             shards: v.get("shards").and_then(Json::as_u64).unwrap_or(1) as usize,
-            optimistic,
-            cascade_limit: v
-                .get("cascade_limit")
-                .and_then(Json::as_u64)
-                .map(|n| n.max(1) as u32),
+            cascade_limit,
         })
     }
 
@@ -508,7 +554,7 @@ impl Spec {
 
     fn build(&self) -> ShardedBus {
         let sc = self.scenario();
-        let mut bus = match self.kind {
+        match self.kind {
             ScenarioKind::CaseA | ScenarioKind::CaseB => {
                 if self.shards > 1 {
                     Testbed::ctms_sharded(&sc, self.shards).0
@@ -524,11 +570,7 @@ impl Spec {
                     ShardedBus::Single(RingChainTestbed::chain(&sc, kind, self.rings).into_bus())
                 }
             }
-        };
-        if self.optimistic {
-            bus.set_exec_mode(ctms_sim::ExecMode::Optimistic);
         }
-        bus
     }
 
     /// The single-threaded rebuild fork branches run on (checkpoints
@@ -545,7 +587,7 @@ impl Spec {
     }
 }
 
-fn parse_mutation(v: &Json) -> Result<Mutation, String> {
+fn parse_mutation(v: &Json) -> Result<Mutation, Refusal> {
     let need = |key: &str| {
         v.get(key)
             .and_then(Json::as_u64)
@@ -559,21 +601,30 @@ fn parse_mutation(v: &Json) -> Result<Mutation, String> {
         "station_churn" => Ok(Mutation::StationChurn {
             ring: need("ring")? as usize,
         }),
-        "purge_storm" => Ok(Mutation::PurgeStorm {
-            ring: need("ring")? as usize,
-            count: need("count")? as u32,
-        }),
-        "dma_stall" => Ok(Mutation::DmaStall {
-            host: need("host")? as usize,
-            extra: Dur::from_us(need("extra_us")?),
-        }),
-        other => Err(format!("unknown mutation kind \"{other}\"")),
+        "purge_storm" => {
+            let count = need("count")?;
+            Ok(Mutation::PurgeStorm {
+                ring: need("ring")? as usize,
+                count: u32::try_from(count).map_err(|_| out_of_range("count", count))?,
+            })
+        }
+        "dma_stall" => {
+            let us = need("extra_us")?;
+            Ok(Mutation::DmaStall {
+                host: need("host")? as usize,
+                extra: us
+                    .checked_mul(1_000)
+                    .map(Dur::from_ns)
+                    .ok_or_else(|| out_of_range("extra_us", us))?,
+            })
+        }
+        other => Err(format!("unknown mutation kind \"{other}\"").into()),
     }
 }
 
-fn parse_mutations(v: &Json) -> Result<Vec<Mutation>, String> {
+fn parse_mutations(v: &Json) -> Result<Vec<Mutation>, Refusal> {
     v.as_arr()
-        .ok_or("\"mutations\" must be an array".to_string())?
+        .ok_or("\"mutations\" must be an array")?
         .iter()
         .map(parse_mutation)
         .collect()
@@ -596,6 +647,14 @@ fn emit_err(out: &mut impl Write, msg: &str) {
     );
 }
 
+/// A refusal as an error line, kind-tagged when it has a kind.
+fn emit_refusal(out: &mut impl Write, r: &Refusal) {
+    match r.kind {
+        Some(kind) => emit_kind_err(out, kind, &r.msg),
+        None => emit_err(out, &r.msg),
+    }
+}
+
 /// An input refusal as a machine-readable error line, tagged like the
 /// scheduling failures below.
 fn emit_kind_err(out: &mut impl Write, kind: &str, msg: &str) {
@@ -610,15 +669,14 @@ fn emit_kind_err(out: &mut impl Write, kind: &str, msg: &str) {
 }
 
 /// A scheduling failure as a machine-readable error line: `kind` names
-/// the typed [`CascadeError`] variant (a same-instant cascade overflow,
-/// a cross-shard lookahead violation, or an optimistic speculation
-/// fault) so clients can branch without parsing prose, and the session
-/// keeps serving — the failure poisons the simulation, not the process.
+/// the typed [`CascadeError`] variant (a same-instant cascade overflow
+/// or a cross-shard lookahead violation) so clients can branch without
+/// parsing prose, and the session keeps serving — the failure poisons
+/// the simulation, not the process.
 fn emit_cascade_err(out: &mut impl Write, e: &ctms_sim::CascadeError) {
     let kind = match e {
         ctms_sim::CascadeError::Overflow { .. } => "overflow",
         ctms_sim::CascadeError::CrossShard { .. } => "cross_shard",
-        ctms_sim::CascadeError::Speculation { .. } => "speculation",
     };
     emit(
         out,
@@ -784,7 +842,10 @@ pub fn run_with_line_cap(input: impl BufRead, out: &mut impl Write, max_line_byt
         };
         match Spec::parse(&v) {
             Ok(spec) => break spec,
-            Err(e) => emit_err(out, &format!("bad session line: {e}")),
+            Err(mut r) => {
+                r.msg = format!("bad session line: {}", r.msg);
+                emit_refusal(out, &r);
+            }
         }
     };
     let mut bus = spec.build();
@@ -807,22 +868,27 @@ pub fn run_with_line_cap(input: impl BufRead, out: &mut impl Write, max_line_byt
                     emit_err(out, "run needs numeric \"until_ms\"");
                     continue;
                 };
-                let until = SimTime::from_ms(until_ms);
+                let step = cmd.get("step_ms").and_then(Json::as_u64).filter(|&s| s > 0);
+                let times = ms_to_ns("until_ms", until_ms).and_then(|until| {
+                    let step = step.map(|ms| ms_to_ns("step_ms", ms)).transpose()?;
+                    Ok((SimTime::from_ns(until), step))
+                });
+                let (until, step_ns) = match times {
+                    Ok(t) => t,
+                    Err(r) => {
+                        emit_refusal(out, &r);
+                        continue;
+                    }
+                };
                 if until < bus.now() {
                     emit_err(out, "\"until_ms\" is in the simulated past");
                     continue;
                 }
-                let step = cmd.get("step_ms").and_then(Json::as_u64).filter(|&s| s > 0);
                 let mut failed = false;
                 while bus.now() < until {
-                    let next = match step {
-                        Some(ms) => {
-                            let stepped = SimTime::from_ns(bus.now().as_ns() + ms * 1_000_000);
-                            if stepped < until {
-                                stepped
-                            } else {
-                                until
-                            }
+                    let next = match step_ns {
+                        Some(ns) => {
+                            SimTime::from_ns(bus.now().as_ns().saturating_add(ns)).min(until)
                         }
                         None => until,
                     };
@@ -831,7 +897,7 @@ pub fn run_with_line_cap(input: impl BufRead, out: &mut impl Write, max_line_byt
                         failed = true;
                         break;
                     }
-                    if step.is_some() && bus.now() < until {
+                    if step_ns.is_some() && bus.now() < until {
                         emit(
                             out,
                             &format!(
@@ -922,8 +988,8 @@ pub fn run_with_line_cap(input: impl BufRead, out: &mut impl Write, max_line_byt
                 };
                 let muts = match parse_mutations(muts) {
                     Ok(m) => m,
-                    Err(e) => {
-                        emit_err(out, &e);
+                    Err(r) => {
+                        emit_refusal(out, &r);
                         continue;
                     }
                 };
@@ -966,31 +1032,36 @@ pub fn run_with_line_cap(input: impl BufRead, out: &mut impl Write, max_line_byt
                     emit_err(out, "fork needs numeric \"until_ms\"");
                     continue;
                 };
-                let run_to = SimTime::from_ms(until_ms);
+                let run_to = match ms_to_ns("until_ms", until_ms) {
+                    Ok(ns) => SimTime::from_ns(ns),
+                    Err(r) => {
+                        emit_refusal(out, &r);
+                        continue;
+                    }
+                };
                 if run_to < bus.now() {
                     emit_err(out, "\"until_ms\" is in the simulated past");
                     continue;
                 }
-                let branches: Result<Vec<ForkSpec>, String> =
-                    match cmd.get("branches").and_then(Json::as_arr) {
-                        Some(lists) if !lists.is_empty() => lists
-                            .iter()
-                            .map(|l| {
-                                Ok(ForkSpec {
-                                    mutations: parse_mutations(l)?,
-                                    run_to,
-                                })
+                let branches: Result<Vec<ForkSpec>, Refusal> = match cmd
+                    .get("branches")
+                    .and_then(Json::as_arr)
+                {
+                    Some(lists) if !lists.is_empty() => lists
+                        .iter()
+                        .map(|l| {
+                            Ok(ForkSpec {
+                                mutations: parse_mutations(l)?,
+                                run_to,
                             })
-                            .collect(),
-                        _ => Err(
-                            "fork needs a non-empty \"branches\" array of mutation lists"
-                                .to_string(),
-                        ),
-                    };
+                        })
+                        .collect(),
+                    _ => Err("fork needs a non-empty \"branches\" array of mutation lists".into()),
+                };
                 let branches = match branches {
                     Ok(b) => b,
-                    Err(e) => {
-                        emit_err(out, &e);
+                    Err(r) => {
+                        emit_refusal(out, &r);
                         continue;
                     }
                 };
@@ -1041,7 +1112,7 @@ pub fn run_with_line_cap(input: impl BufRead, out: &mut impl Write, max_line_byt
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ctms_sim::{CascadeError, NodeId, SpeculationFault};
+    use ctms_sim::{CascadeError, NodeId};
 
     fn line(e: &CascadeError) -> String {
         let mut buf = Vec::new();
@@ -1075,38 +1146,21 @@ mod tests {
             "{got}"
         );
         assert!(got.contains("protocol violation"), "{got}");
-
-        let spec = CascadeError::Speculation {
-            at: SimTime::from_ns(3_000),
-            shard: 2,
-            kind: SpeculationFault::RollbackPastOldestSnapshot,
-        };
-        let got = line(&spec);
-        assert!(
-            got.starts_with("{\"ok\":false,\"kind\":\"speculation\",\"at_ns\":3000,"),
-            "{got}"
-        );
-        assert!(got.contains("oldest retained snapshot"), "{got}");
     }
 
-    /// The session line accepts `exec` / `cascade_limit`; unknown exec
-    /// modes are rejected up front instead of silently running the
-    /// conservative protocol.
+    /// The session line accepts `cascade_limit`, and refuses one that
+    /// `u32` cannot hold instead of truncating it.
     #[test]
-    fn spec_parses_exec_and_cascade_limit() {
-        let v = parse_json("{\"scenario\":\"chain\",\"exec\":\"optimistic\",\"cascade_limit\":3}")
-            .unwrap();
+    fn spec_parses_cascade_limit() {
+        let v = parse_json("{\"scenario\":\"chain\",\"cascade_limit\":3}").unwrap();
         let spec = Spec::parse(&v).unwrap();
-        assert!(spec.optimistic);
         assert_eq!(spec.cascade_limit, Some(3));
         assert_eq!(spec.scenario().cascade_limit, 3);
 
         let v = parse_json("{\"scenario\":\"chain\"}").unwrap();
-        let spec = Spec::parse(&v).unwrap();
-        assert!(!spec.optimistic);
-        assert_eq!(spec.cascade_limit, None);
+        assert_eq!(Spec::parse(&v).unwrap().cascade_limit, None);
 
-        let v = parse_json("{\"scenario\":\"chain\",\"exec\":\"mystery\"}").unwrap();
-        assert!(Spec::parse(&v).is_err());
+        let v = parse_json("{\"scenario\":\"chain\",\"cascade_limit\":4294967296}").unwrap();
+        assert_eq!(Spec::parse(&v).unwrap_err().kind, Some("out_of_range"));
     }
 }

@@ -10,8 +10,7 @@
 //! single-threaded bus; only the wall clock changes.
 //!
 //! Topologies that cannot be sharded soundly (single ring, purge
-//! subscriptions, phantom broadcast traffic, non-default scheduler
-//! mode) transparently fall back to the [`ShardedBus::Single`] variant,
+//! subscriptions, phantom broadcast traffic) transparently fall back to the [`ShardedBus::Single`] variant,
 //! which wraps a plain [`Bus`] — callers see one type either way.
 //!
 //! Topologies that can be sharded but where sharding does not pay fall
@@ -25,10 +24,7 @@ use crate::topology::{
     decode_router_state, persist_router_parts, Bus, CtmsRouter, Measurements, Node, RouterCkpt,
 };
 use ctms_router::Bridge;
-use ctms_sim::{
-    CascadeError, ExecMode, Harness, NodeId, Registry, ShardStats, ShardedHarness, SimTime,
-    WindowMode,
-};
+use ctms_sim::{CascadeError, Harness, NodeId, Registry, ShardStats, ShardedHarness, SimTime};
 use ctms_tokenring::TokenRing;
 use ctms_unixkern::{Host, MeasurePoint};
 
@@ -121,8 +117,7 @@ impl ShardedBus {
     /// The profitability gate's measurement: `Some` once a gated
     /// sharded bus completed its calibration prefix, whether it stayed
     /// sharded or demoted itself ([`Profitability::demotes`]); `None`
-    /// before that, for ablation modes, and for buses that were never
-    /// sharded.
+    /// before that and for buses that were never sharded.
     pub fn profitability(&self) -> Option<Profitability> {
         match self {
             ShardedBus::Single(b) => b.profitability(),
@@ -147,36 +142,6 @@ impl ShardedBus {
         }
     }
 
-    /// Selects the synchronization protocol (adaptive windows by
-    /// default; the fixed-lookahead baseline for ablation). No-op on
-    /// the single-threaded fallback, which has no windows at all.
-    pub fn set_window_mode(&mut self, mode: WindowMode) {
-        if let ShardedBus::Parallel(p) = self {
-            p.h.set_window_mode(mode);
-        }
-    }
-
-    /// Selects the execution discipline: conservative (default) or the
-    /// optimistic Time-Warp-style engine, which speculates past the
-    /// conservative bounds and rolls back on cross-shard stragglers.
-    /// Results are bit-identical either way — only wall clock and the
-    /// `sched.*` exec counters differ. No-op on the single-threaded
-    /// fallback, which has nothing to speculate against.
-    pub fn set_exec_mode(&mut self, exec: ctms_sim::ExecMode) {
-        if let ShardedBus::Parallel(p) = self {
-            p.h.set_exec_mode(exec);
-        }
-    }
-
-    /// Events a shard executes between incremental snapshots in
-    /// optimistic mode (trade rollback replay distance against
-    /// snapshot overhead). No-op on the fallback.
-    pub fn set_snapshot_cadence(&mut self, cadence: u64) {
-        if let ShardedBus::Parallel(p) = self {
-            p.h.set_snapshot_cadence(cadence);
-        }
-    }
-
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         match self {
@@ -194,17 +159,14 @@ impl ShardedBus {
 
     /// Runs until `horizon`, reporting cascade overflow as an error.
     ///
-    /// A sharded bus on the default protocol (adaptive windows,
-    /// conservative execution) first passes the profitability gate:
+    /// A sharded bus first passes the profitability gate:
     /// the run stops at the first clean cut after
     /// [`CALIBRATION_WINDOWS`] windows, and if those carried fewer than
     /// [`MIN_EVENTS_PER_WINDOW`] events each, the bus becomes
     /// [`ShardedBus::Single`] before running on to `horizon`. The rule
     /// reads only the simulation's own schedule, so it decides the same
     /// at every thread count, and the result stays bit-identical either
-    /// way. Explicitly selected ablations
-    /// ([`WindowMode::FixedLookahead`], [`ExecMode::Optimistic`]) are
-    /// never demoted.
+    /// way.
     pub fn try_run_until(&mut self, horizon: SimTime) -> Result<(), CascadeError> {
         if let ShardedBus::Parallel(p) = self {
             if p.calibrate(horizon)?
@@ -386,13 +348,7 @@ impl ShardedBus {
 
     /// Appends all dynamic state to `enc` in the shard-agnostic
     /// checkpoint format shared with [`Bus`]. Must be called at a
-    /// sync-instant boundary (after `try_run_until` returned). In
-    /// optimistic mode this is automatically a drained-to-GVT boundary:
-    /// `run_until` never returns with speculation in flight — every
-    /// round promotes the committed frontier and the final round
-    /// commits or rolls back all speculative segments — so steering and
-    /// checkpointing between runs see only committed state (the
-    /// harness debug-asserts this).
+    /// sync-instant boundary (after `try_run_until` returned).
     pub(crate) fn persist_state(&self, enc: &mut ctms_sim::Enc) {
         match self {
             ShardedBus::Single(b) => b.persist_state(enc),
@@ -455,10 +411,7 @@ impl ParallelBus {
     /// Returns the gate's measurement when the prefix completed in this
     /// call.
     fn calibrate(&mut self, horizon: SimTime) -> Result<Option<Profitability>, CascadeError> {
-        if self.profitability.is_some()
-            || self.h.window_mode() != WindowMode::Adaptive
-            || self.h.exec_mode() != ExecMode::Conservative
-        {
+        if self.profitability.is_some() {
             return Ok(None);
         }
         let (events0, windows0) = *self

@@ -25,8 +25,8 @@ use crate::testbed::DropRec;
 use ctms_measure::{Tap, TapCfg};
 use ctms_router::{Bridge, BridgeCmd, BridgeOut};
 use ctms_sim::{
-    CascadeError, CmdSink, Component, Dur, EdgeLog, Harness, NodeId, Router, SchedMode,
-    ShardedHarness, SimTime,
+    CascadeError, CmdSink, Component, Dur, EdgeLog, Harness, NodeId, Router, ShardedHarness,
+    SimTime,
 };
 use ctms_tokenring::{RingCmd, RingOut, StationId, TokenRing};
 use ctms_unixkern::{
@@ -568,7 +568,6 @@ pub struct Topology {
     phantom: Option<(usize, PhantomTraffic)>,
     purge_subscribers: Vec<(usize, DriverId)>,
     cascade_limit: u32,
-    sched_mode: SchedMode,
 }
 
 impl Topology {
@@ -579,13 +578,6 @@ impl Topology {
             cascade_limit,
             ..Topology::default()
         }
-    }
-
-    /// Selects the harness scheduler implementation. Defaults to
-    /// [`SchedMode::Indexed`]; only the `ctms-bench` perf harness should
-    /// ever select the lazy baseline.
-    pub fn sched_mode(&mut self, mode: SchedMode) {
-        self.sched_mode = mode;
     }
 
     /// Adds a ring; returns its ring index.
@@ -722,7 +714,7 @@ impl Topology {
             n_hosts,
         );
 
-        let mut h = Harness::with_mode(router, self.cascade_limit, self.sched_mode);
+        let mut h = Harness::new(router, self.cascade_limit);
         let mut ring_nodes = Vec::new();
         for (k, ring) in self.rings.into_iter().enumerate() {
             ring_nodes.push(
@@ -769,8 +761,8 @@ impl Topology {
     /// rings span shards are sync-class: they are the only legal
     /// cross-shard emitters, and their forwarding latencies
     /// ([`ctms_router::BridgeKind::lookahead`]) bound the conservative
-    /// window — **per shard**: each shard's window is capped by the
-    /// minimum lookahead over only the cut bridges *incident to it*, so
+    /// windows **per edge**: shard `o` can influence shard `k` no sooner
+    /// than the tightest cut bridge from `o` into `k` allows, so
     /// well-separated partitions run wider windows than the global
     /// minimum would allow.
     ///
@@ -778,8 +770,6 @@ impl Topology {
     /// thread) whenever sharding cannot help or cannot be proven sound:
     ///
     /// * fewer than two shards would result (`shards <= 1` or one ring),
-    /// * a non-default scheduler mode was selected (the sharded engine
-    ///   only implements the indexed scheduler),
     /// * purge subscriptions exist (purge fan-out may cross shards from
     ///   a non-sync ring node),
     /// * a phantom generator is attached (its broadcast LLC frames are
@@ -787,11 +777,7 @@ impl Topology {
     pub fn build_sharded(self, shards: usize) -> ShardedBus {
         let n_rings = self.rings.len();
         let s = shards.min(n_rings);
-        if s <= 1
-            || !matches!(self.sched_mode, SchedMode::Indexed)
-            || !self.purge_subscribers.is_empty()
-            || self.phantom.is_some()
-        {
+        if s <= 1 || !self.purge_subscribers.is_empty() || self.phantom.is_some() {
             return ShardedBus::Single(self.build());
         }
 
@@ -818,8 +804,7 @@ impl Topology {
             .iter()
             .map(|spec| spec.rings.iter().any(|&r| part[r] != part[spec.rings[0]]))
             .collect();
-        // Global floor (seal-time sanity bound) plus the per-shard
-        // refinement: shard j is capped by the cut bridges it touches.
+        // Global floor (seal-time sanity bound).
         let lookahead = self
             .bridges
             .iter()
@@ -828,26 +813,7 @@ impl Topology {
             .map(|(spec, _)| spec.bridge.kind().lookahead())
             .min()
             .unwrap_or(Dur::ZERO);
-        let mut shard_lookahead: Vec<Option<Dur>> = vec![None; s];
-        for (spec, sync) in self.bridges.iter().zip(&bridge_sync) {
-            if !*sync {
-                continue;
-            }
-            let la = spec.bridge.kind().lookahead();
-            // A zero lookahead on a cut edge would collapse the
-            // conservative window to nothing and stall the run — catch
-            // it at build time, not as a runtime hang.
-            debug_assert!(
-                la > Dur::ZERO,
-                "cut bridge {:?} has zero lookahead: its kind cannot sit on a shard boundary",
-                spec.bridge.kind()
-            );
-            for &r in &spec.rings {
-                let sh = part[r];
-                shard_lookahead[sh] = Some(shard_lookahead[sh].map_or(la, |cur| cur.min(la)));
-            }
-        }
-        // Directed per-edge influence for the adaptive window protocol.
+        // Directed per-edge influence for the window protocol.
         // Cross-shard mail flows only out of sync bridges (the owner
         // ring — the one that delivers traffic *into* the bridge — is
         // co-sharded with it, so delivery into the bridge is always
@@ -859,6 +825,14 @@ impl Topology {
                 continue;
             }
             let la = spec.bridge.kind().lookahead();
+            // A zero lookahead on a cut edge would collapse the window
+            // to nothing and stall the run — catch it at build time, not
+            // as a runtime hang.
+            debug_assert!(
+                la > Dur::ZERO,
+                "cut bridge {:?} has zero lookahead: its kind cannot sit on a shard boundary",
+                spec.bridge.kind()
+            );
             for &r in &spec.rings {
                 let k = part[r];
                 if k != o {
@@ -884,7 +858,6 @@ impl Topology {
             .collect();
 
         let mut h = ShardedHarness::new(routers, self.cascade_limit, lookahead);
-        h.set_shard_lookaheads(shard_lookahead);
         h.set_influence_lookaheads(influence);
         let mut ring_nodes = Vec::new();
         for (k, ring) in self.rings.into_iter().enumerate() {
@@ -1437,94 +1410,6 @@ pub(crate) fn persist_router_parts(parts: &[&CtmsRouter], enc: &mut ctms_sim::En
     }
 
     enc.u64(parts.iter().map(|p| p.m.bridge_drops).sum());
-}
-
-/// Rollback images for the optimistic scheduler. Everything the router
-/// mutates while routing is append-only — TAP capture buffers, truth
-/// edge logs, the flat measurement lists — so the image stores
-/// **truncation marks** (current lengths plus the few scalar counters)
-/// instead of copying data: a snapshot costs O(rings + hosts), not
-/// O(history), and rolling back discards exactly the speculated suffix.
-/// The wiring (`slots`, `purge_subscribers`) is never touched by
-/// `route`, so it is not part of the image.
-impl ctms_sim::Rollback for CtmsRouter {
-    fn save(&self, enc: &mut ctms_sim::Enc) {
-        // Bare u64 lengths throughout, not `seq_len`: marks carry no
-        // elements, so the decoder's remaining-bytes check would
-        // misfire on large histories.
-        for tap in self.taps.iter().flatten() {
-            tap.save_mark(enc);
-        }
-        for points in &self.m.truth {
-            let mut entries: Vec<(MeasurePoint, usize)> =
-                points.iter().map(|(p, l)| (*p, l.len())).collect();
-            entries.sort_by_key(|(p, _)| measure_point_key(*p));
-            enc.u64(entries.len() as u64);
-            for (point, len) in entries {
-                persist_measure_point(enc, point);
-                enc.u64(len as u64);
-            }
-        }
-        enc.u64(self.m.drops.len() as u64);
-        enc.u64(self.m.presented.len() as u64);
-        enc.u64(self.m.sock_delivered.len() as u64);
-        enc.u64(self.m.purge_starts.len() as u64);
-        enc.u64(self.m.lost_to_purge.len() as u64);
-        enc.u64(self.m.bridge_drops);
-    }
-
-    fn rollback(&mut self, dec: &mut ctms_sim::Dec<'_>) -> Result<(), ctms_sim::PersistError> {
-        fn cut<T>(v: &mut Vec<T>, len: u64, what: &str) -> Result<(), ctms_sim::PersistError> {
-            let len = len as usize;
-            if len > v.len() {
-                return Err(ctms_sim::PersistError::mismatch(format!(
-                    "router rollback: {what} mark {len} beyond {}",
-                    v.len()
-                )));
-            }
-            v.truncate(len);
-            Ok(())
-        }
-        for tap in self.taps.iter_mut().flatten() {
-            tap.rollback_mark(dec)?;
-        }
-        for points in &mut self.m.truth {
-            let n = dec.u64()? as usize;
-            let mut saved: Vec<MeasurePoint> = Vec::with_capacity(n);
-            for _ in 0..n {
-                let point = restore_measure_point(dec)?;
-                let len = dec.u64()?;
-                let log = points.get_mut(&point).ok_or_else(|| {
-                    ctms_sim::PersistError::mismatch(format!(
-                        "router rollback: truth log {point:?} missing"
-                    ))
-                })?;
-                if len as usize > log.len() {
-                    return Err(ctms_sim::PersistError::mismatch(format!(
-                        "router rollback: truth {point:?} mark {len} beyond {}",
-                        log.len()
-                    )));
-                }
-                log.truncate(len as usize);
-                saved.push(point);
-            }
-            // Logs first recorded during the rolled-back speculation
-            // did not exist at the mark: drop them entirely.
-            points.retain(|p, _| saved.contains(p));
-        }
-        let drops = dec.u64()?;
-        cut(&mut self.m.drops, drops, "drops")?;
-        let presented = dec.u64()?;
-        cut(&mut self.m.presented, presented, "presented")?;
-        let sock = dec.u64()?;
-        cut(&mut self.m.sock_delivered, sock, "sock_delivered")?;
-        let purges = dec.u64()?;
-        cut(&mut self.m.purge_starts, purges, "purge_starts")?;
-        let lost = dec.u64()?;
-        cut(&mut self.m.lost_to_purge, lost, "lost_to_purge")?;
-        self.m.bridge_drops = dec.u64()?;
-        Ok(())
-    }
 }
 
 /// Decodes router state written by [`persist_router_parts`].

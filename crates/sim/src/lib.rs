@@ -46,20 +46,15 @@ pub mod telemetry;
 pub mod time;
 pub mod trace;
 
-pub use bus::{
-    CascadeError, CmdSink, Harness, NodeId, Router, SchedMode, SpeculationFault,
-    DEFAULT_CASCADE_LIMIT,
-};
+pub use bus::{CascadeError, CmdSink, Harness, NodeId, Router, DEFAULT_CASCADE_LIMIT};
 pub use engine::{drain_component, earliest, CascadeGuard, Component};
 pub use heap::IndexedHeap;
 pub use persist::{
     decode_new, ChunkSink, ChunkedReader, ChunkedWriter, Dec, Enc, FramedWrite, Persist,
-    PersistError, Rollback, STREAM_CHUNK,
+    PersistError, STREAM_CHUNK,
 };
 pub use rng::{Pcg32, SplitMix64};
-pub use shard::{
-    merge_mail, ExecMode, MailKey, MergeTelemetry, ShardStats, ShardedHarness, WindowMode,
-};
+pub use shard::{merge_mail, MailKey, MergeTelemetry, ShardStats, ShardedHarness};
 pub use sweep::{default_threads, parallel_map};
 pub use telemetry::{Instrument, Registry};
 pub use time::{Dur, SimTime};

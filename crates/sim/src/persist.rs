@@ -381,37 +381,6 @@ pub fn decode_new<T: Persist + Default>(dec: &mut Dec<'_>) -> Result<T, PersistE
     Ok(v)
 }
 
-/// Speculative-execution snapshots: the optimistic sharded scheduler
-/// saves a value's state before speculating past a conservative bound
-/// and rolls it back when a cross-shard straggler invalidates the
-/// speculation.
-///
-/// Unlike [`Persist`], whose bytes form a durable cross-process
-/// checkpoint, a `Rollback` image only ever round-trips within one
-/// process run — so implementations may use **truncation marks** (record
-/// the lengths of append-only logs and truncate on rollback) instead of
-/// copying the data itself, keeping snapshot cost proportional to the
-/// state *mutated* since the save rather than the state accumulated over
-/// the whole run. Every [`Persist`] type gets `Rollback` for free via
-/// the blanket impl (a full canonical image is always a valid rollback
-/// image).
-pub trait Rollback {
-    /// Appends a rollback image of this value's current state.
-    fn save(&self, enc: &mut Enc);
-
-    /// Restores this value to the state captured by a matching `save`.
-    fn rollback(&mut self, dec: &mut Dec<'_>) -> Result<(), PersistError>;
-}
-
-impl<T: Persist> Rollback for T {
-    fn save(&self, enc: &mut Enc) {
-        self.persist(enc);
-    }
-    fn rollback(&mut self, dec: &mut Dec<'_>) -> Result<(), PersistError> {
-        self.restore(dec)
-    }
-}
-
 impl Persist for SimTime {
     fn persist(&self, enc: &mut Enc) {
         enc.time(*self);

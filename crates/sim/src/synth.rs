@@ -13,7 +13,7 @@
 //! Used by `tests/zero_alloc.rs` (under `--features alloc-count`) and
 //! available to any harness micro-benchmark.
 
-use crate::bus::{CmdSink, Harness, NodeId, Router, SchedMode, DEFAULT_CASCADE_LIMIT};
+use crate::bus::{CmdSink, Harness, NodeId, Router, DEFAULT_CASCADE_LIMIT};
 use crate::engine::Component;
 use crate::persist::{Dec, Enc, Persist, PersistError};
 use crate::shard::ShardedHarness;
@@ -112,27 +112,14 @@ impl Router<SynthNode> for RingForward {
 /// update-keys rather than degenerate ties) and per-fire cascades of up
 /// to `hops` hops.
 pub fn build_ring(n: usize, base_period_ns: u64, hops: u64) -> Harness<SynthNode, RingForward> {
-    build_ring_with_mode(n, base_period_ns, hops, SchedMode::Indexed)
-}
-
-/// [`build_ring`] with an explicit scheduler mode, so benchmarks can
-/// put the identical workload under the indexed heap and the lazy
-/// baseline and compare allocation profiles.
-pub fn build_ring_with_mode(
-    n: usize,
-    base_period_ns: u64,
-    hops: u64,
-    mode: SchedMode,
-) -> Harness<SynthNode, RingForward> {
     assert!(n > 0, "ring needs at least one node");
-    let mut h = Harness::with_mode(
+    let mut h = Harness::new(
         RingForward {
             nodes: n,
             hops,
             routed: 0,
         },
         DEFAULT_CASCADE_LIMIT,
-        mode,
     );
     for k in 0..n {
         let period = Dur::from_ns(base_period_ns + (k as u64 % 7) * 13);
@@ -160,16 +147,6 @@ impl ShardForward {
     /// Events routed so far (per shard router, when sharded).
     pub fn routed(&self) -> u64 {
         self.routed
-    }
-}
-
-impl Persist for ShardForward {
-    fn persist(&self, enc: &mut Enc) {
-        enc.u64(self.routed);
-    }
-    fn restore(&mut self, dec: &mut Dec<'_>) -> Result<(), PersistError> {
-        self.routed = dec.u64()?;
-        Ok(())
     }
 }
 
@@ -266,14 +243,13 @@ pub fn build_sharded_ring_reference(
     relay_period_ns: u64,
 ) -> Harness<SynthNode, ShardForward> {
     assert!(n > 0, "ring needs at least one node");
-    let mut h = Harness::with_mode(
+    let mut h = Harness::new(
         ShardForward {
             nodes_per_shard: n,
             hops,
             routed: 0,
         },
         DEFAULT_CASCADE_LIMIT,
-        SchedMode::Indexed,
     );
     for node in synth_nodes(n, base_period_ns, relay_period_ns) {
         h.add_node(node);
@@ -282,30 +258,30 @@ pub fn build_sharded_ring_reference(
 }
 
 // ----------------------------------------------------------------------
-// Enumerated straggler schedules for the optimistic engine.
+// Enumerated cross-shard mail schedules for the window bound.
 //
 // The graph workload arranges `cells` identical cells into one of the
 // four testbed shapes (chain / tree / mesh / fddi); each cell holds a
 // free-running ticker (never crosses the cut) and a sync-class relay
 // whose fire times are *enumerated up front* so tests can aim
-// stragglers at adversarial points: exactly on a receiving cell's
-// snapshot-boundary event, in same-instant streaks across every shard
-// at once, or as a tight ascending cascade that stragglers shard after
-// shard. Relays never react to input, so any positive lookahead is
-// vacuously satisfied and the conservative engine stays exact.
+// cross-shard mail at adversarial points: exactly on a receiving
+// cell's own event instants, in same-instant streaks across every
+// shard at once, or as a tight ascending cascade from shard to shard.
+// Relays never react to input, so any positive lookahead is vacuously
+// satisfied and the sharded engine must stay exact.
 // ----------------------------------------------------------------------
 
-/// Which adversarial point the relay schedules aim their stragglers at.
+/// Which adversarial point the relay schedules aim their mail at.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StragglerCase {
     /// Fires land exactly on a receiving cell's own event instants, so
-    /// a rollback must cut precisely at a snapshot taken at that time.
+    /// mail and local work share an instant on the receiver.
     SnapshotBoundary,
-    /// Every relay fires a burst at the same instants, so speculation
-    /// is in flight on every shard when the sync instants hit.
+    /// Every relay fires a burst at the same instants, so every shard
+    /// mails every neighbor at once.
     SameInstantStreak,
-    /// Tightly ascending fire times across cells: each shard's rollback
-    /// re-sends mail that stragglers the next shard in turn.
+    /// Tightly ascending fire times across cells: mail reaches shard
+    /// after shard in quick succession.
     MultiShardCascade,
 }
 
@@ -487,16 +463,6 @@ impl Router<GraphCellNode> for GraphForward {
     }
 }
 
-impl Persist for GraphForward {
-    fn persist(&self, enc: &mut Enc) {
-        enc.u64(self.routed);
-    }
-    fn restore(&mut self, dec: &mut Dec<'_>) -> Result<(), PersistError> {
-        self.routed = dec.u64()?;
-        Ok(())
-    }
-}
-
 impl crate::shard::MergeTelemetry for GraphForward {
     fn publish_merged(parts: &[&Self], reg: &mut crate::telemetry::Registry) {
         reg.counter("graph.routed", parts.iter().map(|p| p.routed).sum());
@@ -589,7 +555,7 @@ fn graph_adjacency(shape: &str, cells: usize) -> Vec<Vec<NodeId>> {
 /// Builds the sharded straggler graph: cells are block-partitioned over
 /// `shards` shards in index order, relays are sync-class, lookahead is
 /// the minimal 1 ns (vacuous — relays never react), so every relay fire
-/// that crosses a cut arrives behind a speculating shard's clock.
+/// that crosses a cut bounds the receiving shard's window.
 pub fn build_straggler_graph(
     shape: &str,
     cells: usize,
@@ -622,13 +588,12 @@ pub fn build_straggler_reference(
     cells: usize,
     case: StragglerCase,
 ) -> Harness<GraphCellNode, GraphForward> {
-    let mut h = Harness::with_mode(
+    let mut h = Harness::new(
         GraphForward {
             out: graph_adjacency(shape, cells),
             routed: 0,
         },
         DEFAULT_CASCADE_LIMIT,
-        SchedMode::Indexed,
     );
     for (node, label) in graph_cell_nodes(case, cells) {
         h.add_node_labeled(node, label);
@@ -704,7 +669,6 @@ mod tests {
 
     #[test]
     fn sharded_ring_matches_the_single_threaded_reference() {
-        use crate::shard::WindowMode;
         let horizon = SimTime::from_ns(200_000);
         let mut single = build_sharded_ring_reference(8, 1_000, 3, 2_500);
         single.run_until(horizon);
@@ -712,47 +676,24 @@ mod tests {
         let relayed: u64 = (8..16).map(|k| single.node(NodeId(k)).handled()).sum();
         assert!(relayed > 0, "cross-shard mail must flow");
 
-        for mode in [WindowMode::FixedLookahead, WindowMode::Adaptive] {
-            for threads in [1, 2] {
-                let mut sharded = build_sharded_ring(8, 1_000, 3, 2_500, 2_500);
-                sharded.set_window_mode(mode);
-                sharded.set_threads(threads);
-                sharded.run_until(horizon);
-                assert_eq!(sharded.events(), single.events(), "{mode:?}/{threads}");
-                for k in 0..17 {
-                    let (s, r) = (sharded.node(NodeId(k)), single.node(NodeId(k)));
-                    assert_eq!(s.fired(), r.fired(), "{mode:?}/{threads} node {k}");
-                    assert_eq!(s.handled(), r.handled(), "{mode:?}/{threads} node {k}");
-                }
-            }
-        }
-
-        // Optimistic: shard 1's tickers speculate past the relay's
-        // cross-shard mail, so straggler rollbacks must fire — and the
-        // committed results must still match the reference exactly.
         for threads in [1, 2] {
-            let mut opt = build_sharded_ring(8, 1_000, 3, 2_500, 2_500);
-            opt.set_exec_mode(crate::shard::ExecMode::Optimistic);
-            opt.set_snapshot_cadence(8);
-            opt.set_threads(threads);
-            opt.run_until(horizon);
-            assert_eq!(opt.events(), single.events(), "opt/{threads}");
+            let mut sharded = build_sharded_ring(8, 1_000, 3, 2_500, 2_500);
+            sharded.set_threads(threads);
+            sharded.run_until(horizon);
+            assert_eq!(sharded.events(), single.events(), "threads={threads}");
             for k in 0..17 {
-                let (s, r) = (opt.node(NodeId(k)), single.node(NodeId(k)));
-                assert_eq!(s.fired(), r.fired(), "opt/{threads} node {k}");
-                assert_eq!(s.handled(), r.handled(), "opt/{threads} node {k}");
+                let (s, r) = (sharded.node(NodeId(k)), single.node(NodeId(k)));
+                assert_eq!(s.fired(), r.fired(), "threads={threads} node {k}");
+                assert_eq!(s.handled(), r.handled(), "threads={threads} node {k}");
             }
-            let reg = opt.exec_telemetry();
-            assert!(
-                reg.counter_value("sched.rollbacks") > Some(0),
-                "opt/{threads}: speculation must actually roll back"
-            );
         }
     }
 
     #[test]
-    fn straggler_schedules_roll_back_and_match_the_reference() {
-        use crate::shard::{ExecMode, WindowMode};
+    fn straggler_schedules_match_the_reference_on_every_shape() {
+        // Adversarial cross-shard mail timings on all four shapes at 1,
+        // 2 and 4 shards: the sharded engine must reproduce the
+        // single-threaded telemetry tree byte for byte.
         let horizon = SimTime::from_ns(30_000);
         let cells = 6;
         for shape in ["chain", "tree", "mesh", "fddi"] {
@@ -765,60 +706,25 @@ mod tests {
                 single.run_until(horizon);
                 let golden = single.telemetry_json();
                 assert!(single.events() > 0);
-
                 for shards in [1usize, 2, 4] {
-                    // Conservative cross-check first: the straggler
-                    // workload must already be exact under both window
-                    // modes before the optimistic claim means anything.
-                    for mode in [WindowMode::FixedLookahead, WindowMode::Adaptive] {
-                        let mut cons = build_straggler_graph(shape, cells, shards, case);
-                        cons.set_window_mode(mode);
-                        cons.set_threads(2.min(shards));
-                        cons.run_until(horizon);
-                        assert_eq!(
-                            cons.telemetry_json(),
-                            golden,
-                            "{shape}/{case:?}/{shards} {mode:?}"
-                        );
-                    }
-
-                    // Optimistic under both conservative baselines: a
-                    // short snapshot cadence and a speculation span
-                    // covering the whole horizon, so every cross-cut
-                    // relay fire is a straggler.
-                    let mut rollbacks = 0;
-                    for mode in [WindowMode::Adaptive, WindowMode::FixedLookahead] {
-                        let mut opt = build_straggler_graph(shape, cells, shards, case);
-                        opt.set_window_mode(mode);
-                        opt.set_exec_mode(ExecMode::Optimistic);
-                        opt.set_snapshot_cadence(4);
-                        opt.set_speculation_span(Dur::from_ns(100_000));
-                        opt.set_threads(2.min(shards));
-                        opt.run_until(horizon);
-                        assert_eq!(
-                            opt.telemetry_json(),
-                            golden,
-                            "{shape}/{case:?}/{shards} opt {mode:?}"
-                        );
-                        assert_eq!(
-                            opt.events(),
-                            single.events(),
-                            "{shape}/{case:?}/{shards} {mode:?}"
-                        );
-                        let reg = opt.exec_telemetry();
-                        rollbacks += reg.counter_value("sched.rollbacks").unwrap_or(0);
-                        if shards > 1 && reg.counter_value("sched.rollbacks") > Some(0) {
-                            assert!(
-                                reg.counter_value("sched.events_rolled_back") > Some(0),
-                                "{shape}/{case:?}/{shards} {mode:?}: rollbacks must undo work"
-                            );
-                        }
-                    }
+                    let mut sharded = build_straggler_graph(shape, cells, shards, case);
+                    sharded.set_threads(2.min(shards));
+                    sharded.run_until(horizon);
+                    assert_eq!(
+                        sharded.telemetry_json(),
+                        golden,
+                        "{shape}/{case:?}/{shards}"
+                    );
+                    assert_eq!(
+                        sharded.events(),
+                        single.events(),
+                        "{shape}/{case:?}/{shards}"
+                    );
                     if shards > 1 {
-                        assert!(
-                            rollbacks > 0,
-                            "{shape}/{case:?}/{shards}: parity must not be vacuous"
-                        );
+                        let sent: u64 = (0..shards)
+                            .map(|k| sharded.shard_stats(k).mailbox_sent)
+                            .sum();
+                        assert!(sent > 0, "{shape}/{case:?}/{shards}: no mail crossed a cut");
                     }
                 }
             }

@@ -23,7 +23,11 @@ profitability gate, /6 sharded entries also record "effective_shards"
 (the shard count that ran to the horizon) and the calibration prefix's
 "prefix_events_per_window"; every sharded row shows its effective
 shards, and a row the gate demoted to the single-threaded bus is tagged
-"[fallback]" so its speedup never reads as a parallel win. Malformed
+"[fallback]" so its speedup never reads as a parallel win. "ctms-perf/7"
+reports come from the single execution path: a test-case row carries its
+events/sec only (no lazy-baseline speedup), and sharded entries carry
+no fixed-lookahead or optimistic ablation; the [fixed]/[opt] rows of
+earlier reports still render. Malformed
 reports (unparseable JSON, or a structurally broken
 section) are listed on stderr and make the exit code non-zero — as does
 a recorded sharded configuration running more than 10% slower than its
@@ -210,24 +214,32 @@ def sharded_regressions(report):
 
 
 def rows_perf(report):
-    """ctms-perf/1 through /3: scheduler speedups, allocs, sharded
-    chain, and (since /3) per-topology graph-shape results."""
+    """ctms-perf/1 through /7: test-case rates (with the lazy-baseline
+    speedup before /7), allocs, sharded chain, and (since /3)
+    per-topology graph-shape results."""
     cores = report.get("cores")
     if cores is not None:
         note = ", DEGRADED PARALLELISM" if report_degraded(report) else ""
         yield ("measured on", f"{cores} core(s){note}")
     for case in report.get("cases", []):
-        ev = case["indexed"]["events_per_sec"]
-        yield (
-            f"{case['name']} indexed vs lazy",
-            f"{fmt_speedup(case['speedup'])} ({ev / 1e6:.2f}M ev/s)",
-        )
+        if "speedup" in case:
+            ev = case["indexed"]["events_per_sec"]
+            yield (
+                f"{case['name']} indexed vs lazy",
+                f"{fmt_speedup(case['speedup'])} ({ev / 1e6:.2f}M ev/s)",
+            )
+        else:
+            # ctms-perf/7: one scheduler, so the row is its rate alone.
+            yield (case["name"], f"{case['run']['events_per_sec'] / 1e6:.2f}M ev/s")
     steady = report.get("steady_state")
     if steady:
-        yield (
-            "steady-state allocs/event (indexed)",
-            f"{steady['indexed']['allocs_per_event']:g}",
-        )
+        if "indexed" in steady:
+            yield (
+                "steady-state allocs/event (indexed)",
+                f"{steady['indexed']['allocs_per_event']:g}",
+            )
+        else:
+            yield ("steady-state allocs/event", f"{steady['allocs_per_event']:g}")
     chain = report.get("chain")
     if chain:
         yield from rows_sharded(f"chain/{chain['rings']}", chain)
@@ -511,12 +523,50 @@ WELL_FORMED_GATED = {
 }
 
 
+WELL_FORMED_V7 = {
+    "format": "ctms-perf/7",
+    "cores": 2,
+    "degraded_parallelism": False,
+    "cases": [
+        {
+            "name": "case_a",
+            "run": {"events": 147128, "wall_secs": 0.0452, "events_per_sec": 3.25e6},
+        }
+    ],
+    "chain": {
+        "rings": 128,
+        "single": {"events_per_sec": 3.5e6},
+        "sharded": [
+            {
+                "shards": 2,
+                "threads": 2,
+                "run": {"events": 995136},
+                "speedup": 1.07,
+                "window": {"sync_instants": 0, "windows": 2},
+                "effective_shards": 2,
+                "prefix_events_per_window": None,
+                "ground_truth_parity": True,
+            }
+        ],
+    },
+    "topologies": None,
+    "scale": None,
+    "steady_state": {
+        "workload": "synth-ring/16",
+        "events": 618795,
+        "allocations": 0,
+        "allocs_per_event": 0.0,
+    },
+}
+
+
 def selftest():
     """Pins the malformed-report contract (bad syntax and a broken
     topology section both produce a non-zero exit, a clean tree a zero
     one), the /4 efficiency columns, the /5 optimistic ablation row,
-    the /6 scale section, and the sharded-regression gate (conservative
-    and optimistic) with its degraded-parallelism exemption."""
+    the /6 scale section, the /7 rate-only case rows, and the
+    sharded-regression gate (conservative and optimistic) with its
+    degraded-parallelism exemption."""
 
     def run_on(files):
         with tempfile.TemporaryDirectory() as td:
@@ -660,6 +710,27 @@ def selftest():
     slow["topologies"][0]["sharded"][0]["speedup"] = 0.85
     code, _, err = run_on({"BENCH_PR7.json": json.dumps(slow)})
     assert code == 1 and "fddi/32 shards=2: 0.85x" in err, err
+
+    # A /7 report renders a case row as its rate alone and the flat
+    # steady-state block, with no ablation rows, and exits 0.
+    code, out, err = run_on({"BENCH_PR13.json": json.dumps(WELL_FORMED_V7)})
+    assert code == 0, f"well-formed /7 report must exit 0: {err}"
+    assert re.search(r"case_a\s+3\.25M ev/s", out), f"missing /7 case row:\n{out}"
+    assert "indexed vs lazy" not in out, f"/7 case row must not claim a speedup:\n{out}"
+    assert re.search(r"steady-state allocs/event\s+0\n", out), f"missing steady row:\n{out}"
+    assert "[fixed]" not in out and "[opt]" not in out, out
+
+    # A /7 case without its run block is malformed, not silently skipped.
+    broken = json.loads(json.dumps(WELL_FORMED_V7))
+    del broken["cases"][0]["run"]
+    code, _, err = run_on({"BENCH_PR13.json": json.dumps(broken)})
+    assert code == 1 and "bad section structure" in err, err
+
+    # The >10% sharded-regression gate is unchanged for /7 reports.
+    regressed = json.loads(json.dumps(WELL_FORMED_V7))
+    regressed["chain"]["sharded"][0]["speedup"] = 0.85
+    code, _, err = run_on({"BENCH_PR13.json": json.dumps(regressed)})
+    assert code == 1 and "chain/128 shards=2: 0.85x" in err, err
 
     print("bench_trend selftest: OK")
     return 0

@@ -19,7 +19,7 @@ cargo test -q
 echo "== tier-1: zero-alloc scheduler steady state (alloc-count)"
 cargo test -q -p ctms-sim --features alloc-count --test zero_alloc
 
-echo "== tier-1: zero-alloc sharded steady state (both window modes + optimistic)"
+echo "== tier-1: zero-alloc sharded steady state"
 cargo test -q -p ctms-sim --features alloc-count --test zero_alloc_sharded
 
 echo "== tier-1: sharded scheduler parity (golden digests at 1/2/4 shards)"
@@ -31,33 +31,15 @@ cargo test -q --test checkpoint
 echo "== tier-1: topology parity (tree/mesh/fddi golden truth at 1/2/4 shards)"
 cargo test -q --test determinism topology_variants_share_the_golden_truth
 
-echo "== tier-1: adaptive-vs-fixed window parity (chain/tree/mesh/fddi at 1/2/4 shards)"
-cargo test -q --test determinism window_modes_share_the_golden_truth
+echo "== sharded parity on enumerated cross-shard mail schedules (chain/tree/mesh/fddi at 1/2/4 shards)"
+cargo test -q -p ctms-sim straggler
 
 echo "== tier-1: profitability gate (dense shapes demote in place, byte-identical; sparse stay sharded)"
 cargo test -q --test determinism profitability_gate_demotes_dense_shapes_in_place
 
-echo "== tier-1: optimistic execution parity (golden truth; rollback+replay exercised)"
-cargo test -q --test determinism optimistic_mode_shares_the_golden_truth
-cargo test -q -p ctms-sim straggler
-
-echo "== ctms-serve smoke (typed error kinds + hostile input + optimistic session parity)"
+echo "== ctms-serve smoke (typed error kinds + hostile input)"
 cargo test -q -p ctms-bench --lib serve
 cargo test -q --test serve
-cons_out=$(printf '%s\n' \
-  '{"scenario":"chain","rings":8,"shards":2}' \
-  '{"cmd":"run","until_ms":50}' \
-  '{"cmd":"telemetry"}' \
-  '{"cmd":"quit"}' \
-  | cargo run --release -q -p ctms-bench --bin serve)
-opt_out=$(printf '%s\n' \
-  '{"scenario":"chain","rings":8,"shards":2,"exec":"optimistic"}' \
-  '{"cmd":"run","until_ms":50}' \
-  '{"cmd":"telemetry"}' \
-  '{"cmd":"quit"}' \
-  | cargo run --release -q -p ctms-bench --bin serve)
-[ "$cons_out" = "$opt_out" ] \
-  || { echo "serve smoke: optimistic session diverged from conservative" >&2; exit 1; }
 
 echo "== ctms-serve smoke (session, run, checkpoint/restore round trip)"
 serve_out=$(printf '%s\n' \
@@ -119,14 +101,6 @@ eff = {t["shape"]: t["sharded"][0]["effective_shards"] for t in report["topologi
 assert eff == {"fddi": 1, "tree": 2}, f"effective shards {eff}, want fddi 1 and tree 2"
 PY
 rm -f "$gate_json"
-
-echo "== adaptive perf smoke (report-only: adaptive + fixed ablation, parity-asserting)"
-cargo run --release -q -p ctms-bench --features alloc-count --bin perf -- \
-  --quick --shards 4 --rings 32 --adaptive
-
-echo "== optimistic perf smoke (report-only: speculation ablation, parity-asserting, vs BENCH_PR9.json)"
-cargo run --release -q -p ctms-bench --features alloc-count --bin perf -- \
-  --quick --shards 4 --rings 32 --adaptive --optimistic --compare BENCH_PR9.json
 
 echo "== scale perf smoke (capacity section at small N: build, streamed-checkpoint parity at 1/2/4 shards, vs BENCH_PR10.json)"
 cargo run --release -q -p ctms-bench --features alloc-count --bin perf -- \

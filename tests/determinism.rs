@@ -12,15 +12,11 @@
 //! rather than as a silent drift in the reproduced figures.
 
 use ctms_core::{Scenario, Testbed};
-use ctms_sim::{SchedMode, SimTime};
+use ctms_sim::SimTime;
 use ctms_unixkern::MeasurePoint;
 
 fn digests(sc: &Scenario) -> [u64; 4] {
-    digests_with_mode(sc, SchedMode::Indexed)
-}
-
-fn digests_with_mode(sc: &Scenario, mode: SchedMode) -> [u64; 4] {
-    let mut bed = Testbed::ctms_with_mode(sc, mode);
+    let mut bed = Testbed::ctms(sc);
     bed.run_until(SimTime::from_secs(10));
     let get = |host: usize, point: MeasurePoint| {
         bed.truth_log(host, point)
@@ -63,22 +59,6 @@ fn case_b_truth_digests_are_golden() {
         ],
         "case B ground truth drifted: {got:#018X?}"
     );
-}
-
-#[test]
-fn scheduler_modes_share_the_golden_truth() {
-    // The indexed deadline heap (default) and the lazy-invalidation
-    // baseline it replaced must be observationally indistinguishable:
-    // every edge the testbed records is bit-identical. This is what
-    // licenses comparing their wall clocks in `perf`/BENCH_PR4.json as
-    // a pure scheduler measurement.
-    for sc in [Scenario::test_case_a(42), Scenario::test_case_b(42)] {
-        assert_eq!(
-            digests_with_mode(&sc, SchedMode::Indexed),
-            digests_with_mode(&sc, SchedMode::LazyBaseline),
-            "scheduler modes disagree on ground truth"
-        );
-    }
 }
 
 #[test]
@@ -267,203 +247,6 @@ fn topology_variants_share_the_golden_truth() {
                 "{name} telemetry drifted (shards={shards})"
             );
         }
-    }
-}
-
-#[test]
-fn window_modes_share_the_golden_truth() {
-    // Adaptive windows (the default) versus the fixed-lookahead
-    // baseline: the protocols may only differ in how many barriers the
-    // coordinator erects, never in the answer. Every workload below is
-    // run under both modes at 1, 2 and 4 shards and held to byte
-    // identity — truth-log digests, event counts, and the canonical
-    // telemetry tree. This is the license for `perf --adaptive` to
-    // report the mode delta as pure synchronization overhead. Adaptive
-    // windows on the FDDI backbone fail the profitability gate, so at 2
-    // and 4 shards that side is sharded only for the calibration prefix
-    // and the single-threaded bus after it (fixed lookahead, an
-    // ablation, is never demoted);
-    // `profitability_gate_demotes_dense_shapes_in_place` covers adaptive
-    // sharded fddi to the horizon.
-    use ctms_core::{RingChainTestbed, RingGraph};
-    use ctms_router::BridgeKind;
-    use ctms_sim::WindowMode;
-
-    // Cases A and B are single-ring topologies: every shard count falls
-    // back to the single-threaded bus, where the mode setter must be
-    // accepted (as a no-op) and the golden digests must hold either way.
-    for sc in [Scenario::test_case_a(42), Scenario::test_case_b(42)] {
-        let mut got = Vec::new();
-        for mode in [WindowMode::Adaptive, WindowMode::FixedLookahead] {
-            let (mut bus, _roles) = Testbed::ctms_sharded(&sc, 4);
-            bus.set_window_mode(mode);
-            bus.run_until(SimTime::from_secs(10));
-            got.push(
-                bus.truth_log(1, MeasurePoint::CtmspIdentified)
-                    .map(|log| log.digest())
-                    .unwrap_or(0),
-            );
-        }
-        assert_eq!(got[0], got[1], "fallback bus must ignore the mode");
-    }
-
-    let sc = Scenario::scaled_chain(42);
-    let kind = BridgeKind::cut_through_bridge();
-    let horizon = SimTime::from_secs(2);
-    let shapes: [(&str, Option<RingGraph>); 4] = [
-        ("chain", None),
-        ("tree", Some(RingGraph::tree(13, 3))),
-        ("mesh", Some(RingGraph::mesh(12, 42))),
-        ("fddi", Some(RingGraph::fddi(12))),
-    ];
-    for (name, graph) in shapes {
-        for shards in [1usize, 2, 4] {
-            let run = |mode: WindowMode| {
-                let mut bed = match &graph {
-                    None => RingChainTestbed::chain_sharded(&sc, kind, 16, shards),
-                    Some(g) => RingChainTestbed::graph_sharded(&sc, kind, g, shards),
-                };
-                bed.bus_mut().set_window_mode(mode);
-                bed.run_until(horizon);
-                let digests = [
-                    bed.measurement_set().vca_irq.digest(),
-                    bed.measurement_set().handler.digest(),
-                    bed.measurement_set().pre_tx.digest(),
-                    bed.measurement_set().ctmsp_rx.digest(),
-                ];
-                (
-                    digests,
-                    bed.events(),
-                    bed.telemetry_json(),
-                    bed.shard_count(),
-                )
-            };
-            let adaptive = run(WindowMode::Adaptive);
-            let fixed = run(WindowMode::FixedLookahead);
-            let demoted = name == "fddi" && shards > 1;
-            assert_eq!(
-                (adaptive.3, fixed.3),
-                (if demoted { 1 } else { shards }, shards),
-                "{name}: effective shards (adaptive, fixed) after the run (shards={shards})"
-            );
-            assert_eq!(
-                adaptive.0, fixed.0,
-                "{name} truth diverged between window modes (shards={shards})"
-            );
-            assert_eq!(
-                adaptive.1, fixed.1,
-                "{name} event count diverged between window modes (shards={shards})"
-            );
-            assert_eq!(
-                adaptive.2, fixed.2,
-                "{name} telemetry diverged between window modes (shards={shards})"
-            );
-        }
-    }
-}
-
-#[test]
-fn optimistic_mode_shares_the_golden_truth() {
-    // The Time-Warp-style optimistic engine versus the conservative
-    // one: speculation and rollback may only change the wall clock and
-    // the `sched.*` exec counters, never the answer. Cases A and B pin
-    // the single-ring fallback (the setter must be accepted as a
-    // no-op); chain/tree/mesh/fddi at 1, 2 and 4 shards are held to
-    // byte identity against the single-threaded run — truth digests,
-    // event counts, and the whole canonical telemetry tree — and the
-    // multi-shard configurations must report actual rollbacks, so the
-    // parity claim is not vacuously about runs that never speculated
-    // past a straggler.
-    use ctms_core::{RingChainTestbed, RingGraph};
-    use ctms_router::BridgeKind;
-    use ctms_sim::{ExecMode, WindowMode};
-
-    for sc in [Scenario::test_case_a(42), Scenario::test_case_b(42)] {
-        let mut got = Vec::new();
-        for exec in [ExecMode::Conservative, ExecMode::Optimistic] {
-            let (mut bus, _roles) = Testbed::ctms_sharded(&sc, 4);
-            bus.set_exec_mode(exec);
-            bus.run_until(SimTime::from_secs(10));
-            got.push(
-                bus.truth_log(1, MeasurePoint::CtmspIdentified)
-                    .map(|log| log.digest())
-                    .unwrap_or(0),
-            );
-        }
-        assert_eq!(got[0], got[1], "fallback bus must ignore the exec mode");
-    }
-
-    let sc = Scenario::scaled_chain(42);
-    let kind = BridgeKind::cut_through_bridge();
-    let horizon = SimTime::from_secs(2);
-    let shapes: [(&str, Option<RingGraph>); 4] = [
-        ("chain", None),
-        ("tree", Some(RingGraph::tree(13, 3))),
-        ("mesh", Some(RingGraph::mesh(12, 42))),
-        ("fddi", Some(RingGraph::fddi(12))),
-    ];
-    for (name, graph) in shapes {
-        let mut single = match &graph {
-            None => RingChainTestbed::chain(&sc, kind, 16),
-            Some(g) => RingChainTestbed::graph(&sc, kind, g),
-        };
-        single.run_until(horizon);
-        let single_json = single.telemetry_json();
-        let single_events = single.bus().events();
-        let single_digests = [
-            single.measurement_set().vca_irq.digest(),
-            single.measurement_set().handler.digest(),
-            single.measurement_set().pre_tx.digest(),
-            single.measurement_set().ctmsp_rx.digest(),
-        ];
-        let mut rollbacks_seen = 0;
-        for shards in [1usize, 2, 4] {
-            // Speculation commits against whichever conservative
-            // protocol is selected; both must reproduce the reference.
-            // Adaptive bounds are often already tight enough that
-            // nothing stragglers — the fixed-lookahead baseline is
-            // where deep speculation (and therefore rollback) happens.
-            for mode in [WindowMode::Adaptive, WindowMode::FixedLookahead] {
-                let mut bed = match &graph {
-                    None => RingChainTestbed::chain_sharded(&sc, kind, 16, shards),
-                    Some(g) => RingChainTestbed::graph_sharded(&sc, kind, g, shards),
-                };
-                bed.bus_mut().set_window_mode(mode);
-                bed.bus_mut().set_exec_mode(ExecMode::Optimistic);
-                bed.run_until(horizon);
-                let got = [
-                    bed.measurement_set().vca_irq.digest(),
-                    bed.measurement_set().handler.digest(),
-                    bed.measurement_set().pre_tx.digest(),
-                    bed.measurement_set().ctmsp_rx.digest(),
-                ];
-                assert_eq!(
-                    got, single_digests,
-                    "{name} optimistic truth drifted (shards={shards}, {mode:?}): {got:#018X?}"
-                );
-                assert_eq!(
-                    bed.events(),
-                    single_events,
-                    "{name} optimistic event count drifted (shards={shards}, {mode:?})"
-                );
-                assert_eq!(
-                    bed.telemetry_json(),
-                    single_json,
-                    "{name} optimistic telemetry drifted (shards={shards}, {mode:?})"
-                );
-                if let Some(reg) = bed.bus().exec_telemetry() {
-                    rollbacks_seen += reg.counter_value("sched.rollbacks").unwrap_or(0);
-                    assert!(
-                        reg.counter_value("sched.gvt_rounds") > Some(0),
-                        "{name} shards={shards} {mode:?}: optimistic engine must have run"
-                    );
-                }
-            }
-        }
-        assert!(
-            rollbacks_seen > 0,
-            "{name}: no configuration rolled back — optimistic parity is vacuous"
-        );
     }
 }
 

@@ -1,9 +1,11 @@
 //! Hostile input to the `serve` session: a line nested deeper than the
-//! session's limit and a line longer than it each get one kind-tagged
-//! error reply, and the session goes on serving valid commands — no
-//! stack overflow, no unbounded buffering.
+//! session's limit, a line longer than it, a chain with more rings than
+//! it, and a number too large for the field it sets each get one
+//! kind-tagged error reply, and the session goes on serving valid
+//! commands — no stack overflow, no unbounded buffering, no truncated
+//! or wrapped values.
 
-use ctms_bench::serve::{run, run_with_line_cap, MAX_DEPTH};
+use ctms_bench::serve::{run, run_with_line_cap, MAX_DEPTH, MAX_RINGS};
 
 /// Collects a session's reply lines from its output bytes.
 fn lines(out: Vec<u8>) -> Vec<String> {
@@ -114,4 +116,117 @@ fn input_at_the_limits_is_still_served() {
     let got = lines(out);
     assert_eq!(got.len(), 2, "{got:#?}");
     assert_eq!(got[1], "{\"ok\":true,\"event\":\"bye\"}");
+}
+
+/// A session line and then `commands`, one per line, ending in `quit`.
+fn session_replies(session: &str, commands: &[&str]) -> Vec<String> {
+    let mut input = format!("{session}\n");
+    for c in commands {
+        input.push_str(c);
+        input.push('\n');
+    }
+    input.push_str(QUIT);
+    replies(input.as_bytes())
+}
+
+fn assert_out_of_range(reply: &str, key: &str) {
+    assert!(
+        reply.starts_with("{\"ok\":false,\"kind\":\"out_of_range\",\"error\":")
+            && reply.contains(&format!("\\\"{key}\\\"")),
+        "{reply}"
+    );
+}
+
+#[test]
+fn cascade_limit_past_u32_is_refused() {
+    // 2^32 would truncate to a zero limit; the session line is refused
+    // and the next one is served.
+    let input =
+        format!("{{\"scenario\":\"case_a\",\"cascade_limit\":4294967296}}\n{SESSION}{RUN}{QUIT}");
+    let got = replies(input.as_bytes());
+    assert_eq!(got.len(), 4, "{got:#?}");
+    assert_out_of_range(&got[0], "cascade_limit");
+    assert!(got[1].contains("\"event\":\"ready\""), "{}", got[1]);
+    assert!(
+        got[2].contains("\"event\":\"ran\",\"now_ms\":10,"),
+        "{}",
+        got[2]
+    );
+}
+
+#[test]
+fn times_past_the_simulated_clock_are_refused() {
+    // Each of these overflows u64 nanoseconds; none may wrap into a
+    // short run, and the session keeps serving.
+    let got = session_replies(
+        SESSION,
+        &[
+            "{\"cmd\":\"run\",\"until_ms\":18446744073710}",
+            "{\"cmd\":\"run\",\"until_ms\":10,\"step_ms\":18446744073710}",
+            "{\"cmd\":\"fork\",\"until_ms\":18446744073710,\"branches\":[[]]}",
+            RUN.trim_end(),
+        ],
+    );
+    assert_eq!(got.len(), 6, "{got:#?}");
+    assert_out_of_range(&got[1], "until_ms");
+    assert_out_of_range(&got[2], "step_ms");
+    assert_out_of_range(&got[3], "until_ms");
+    assert!(
+        got[4].contains("\"event\":\"ran\",\"now_ms\":10,"),
+        "{}",
+        got[4]
+    );
+}
+
+#[test]
+fn dma_stall_past_the_simulated_clock_is_refused() {
+    let got = session_replies(
+        SESSION,
+        &[
+            "{\"cmd\":\"steer\",\"mutations\":[{\"kind\":\"dma_stall\",\"host\":0,\"extra_us\":18446744073709552}]}",
+            "{\"cmd\":\"steer\",\"mutations\":[{\"kind\":\"dma_stall\",\"host\":0,\"extra_us\":500}]}",
+        ],
+    );
+    assert_eq!(got.len(), 4, "{got:#?}");
+    assert_out_of_range(&got[1], "extra_us");
+    assert!(got[2].contains("\"event\":\"steered\""), "{}", got[2]);
+}
+
+#[test]
+fn purge_storm_count_past_u32_is_refused() {
+    // 2^32 + 3 would truncate to a three-purge storm.
+    let got = session_replies(
+        SESSION,
+        &[
+            "{\"cmd\":\"steer\",\"mutations\":[{\"kind\":\"purge_storm\",\"ring\":0,\"count\":4294967299}]}",
+            RUN.trim_end(),
+        ],
+    );
+    assert_eq!(got.len(), 4, "{got:#?}");
+    assert_out_of_range(&got[1], "count");
+    assert!(
+        got[2].contains("\"event\":\"ran\",\"now_ms\":10,")
+            && got[2].contains("\"purge_starts\":0"),
+        "{}",
+        got[2]
+    );
+}
+
+#[test]
+fn chains_are_capped_at_max_rings() {
+    // One ring over the cap is refused before anything is built; the
+    // cap itself is served.
+    let over = format!("{{\"scenario\":\"chain\",\"rings\":{}}}", MAX_RINGS + 1);
+    let at = format!("{{\"scenario\":\"chain\",\"rings\":{MAX_RINGS}}}");
+    let got = replies(format!("{over}\n{at}\n{QUIT}").as_bytes());
+    assert_eq!(got.len(), 3, "{got:#?}");
+    assert_eq!(
+        got[0],
+        format!(
+            "{{\"ok\":false,\"kind\":\"too_many_rings\",\"error\":\"bad session line: chain of {} rings exceeds the {MAX_RINGS}-ring limit\"}}",
+            MAX_RINGS + 1
+        )
+    );
+    assert!(got[1].contains("\"event\":\"ready\""), "{}", got[1]);
+    assert_eq!(got[2], "{\"ok\":true,\"event\":\"bye\"}");
 }
