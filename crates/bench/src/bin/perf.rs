@@ -61,7 +61,7 @@
 //! allocation-free ring (`ctms_sim::synth`) measures allocations/event;
 //! the scheduler must come out at exactly zero.
 
-use ctms_core::{Profitability, RingChainTestbed, RingGraph, Scenario, ShardedChain, Testbed};
+use ctms_core::{Bus, Profitability, RingChainTestbed, RingGraph, Scenario, Testbed};
 use ctms_router::BridgeKind;
 use ctms_sim::telemetry::{json_f64, json_string};
 use ctms_sim::SimTime;
@@ -345,8 +345,13 @@ struct WindowStats {
     idle_fraction: f64,
 }
 
-fn window_stats(bus: &ctms_core::ShardedBus, shards: usize) -> Option<WindowStats> {
-    let reg = bus.exec_telemetry()?;
+/// The window counters of a run that finished sharded; `None` for one
+/// the profitability gate demoted.
+fn window_stats(bus: &Bus, shards: usize) -> Option<WindowStats> {
+    if bus.shard_count() == 1 {
+        return None;
+    }
+    let reg = bus.exec_telemetry();
     let count = |key: &str| reg.counter_value(key).unwrap_or(0);
     let (mut idle, mut advances) = (0u64, 0u64);
     for k in 0..shards {
@@ -378,7 +383,7 @@ struct GateStats {
 }
 
 impl GateStats {
-    fn of(bed: &ShardedChain) -> GateStats {
+    fn of(bed: &RingChainTestbed) -> GateStats {
         GateStats {
             effective_shards: bed.shard_count(),
             prefix: bed.bus().profitability(),
@@ -420,8 +425,8 @@ struct ShapeResult {
 /// and profitability verdict asserted stable across repetitions.
 #[allow(clippy::too_many_arguments)]
 fn measure_sharded(
-    build: &dyn Fn() -> ShardedChain,
-    digests_of: &dyn Fn(&ShardedChain) -> [u64; 4],
+    build: &dyn Fn() -> RingChainTestbed,
+    digests_of: &dyn Fn(&RingChainTestbed) -> [u64; 4],
     k: usize,
     workers: usize,
     horizon: SimTime,
@@ -481,8 +486,8 @@ fn measure_sharded(
 #[allow(clippy::too_many_arguments)]
 fn sweep_shards(
     label: &str,
-    build: &dyn Fn(usize) -> ShardedChain,
-    digests_of: &dyn Fn(&ShardedChain) -> [u64; 4],
+    build: &dyn Fn(usize) -> RingChainTestbed,
+    digests_of: &dyn Fn(&RingChainTestbed) -> [u64; 4],
     max_shards: usize,
     threads: Option<usize>,
     horizon: SimTime,

@@ -19,16 +19,17 @@
 //!
 //! `seed` defaults to 42; `rings` (chain only) to 16, at most
 //! [`MAX_RINGS`]; `shards` to 1 (single-threaded). Single-ring
-//! scenarios always fall back to the single-threaded harness regardless
-//! of `shards`, mirroring `Topology::build_sharded`; replies are
-//! byte-identical at any shard count. `cascade_limit` overrides the
+//! scenarios always run one shard regardless of `shards`, mirroring
+//! `Topology::build_partitioned`; replies are byte-identical at any
+//! shard count. `cascade_limit` overrides the
 //! same-instant cascade bound — mostly useful for deliberately tripping
 //! the typed error path.
 //!
 //! ## Commands
 //!
 //! ```text
-//! {"cmd":"run","until_ms":N,"step_ms":M}   run to N ms; with step_ms,
+//! {"cmd":"run","until_ms":N,"step_ms":M}   run to N ms (at most
+//!                                          MAX_UNTIL_MS); with step_ms,
 //!                                          emit a progress event per
 //!                                          bounded step (streaming)
 //! {"cmd":"telemetry"}                      full canonical metric tree
@@ -56,13 +57,12 @@
 //!
 //! Mutations: `{"kind":"station_churn","ring":0}`,
 //! `{"kind":"purge_storm","ring":0,"count":3}`,
-//! `{"kind":"dma_stall","host":0,"extra_us":500}`. Only the
-//! single-threaded bus can inject (like `Bus::inject_ring`), so a
-//! sharded session steers through the shard-agnostic snapshot round
-//! trip: checkpoint → apply the mutations on a single-threaded rebuild
-//! → restore the mutated state into a fresh sharded build. The
-//! continuation is bit-identical to steering the same state
-//! single-threaded.
+//! `{"kind":"dma_stall","host":0,"extra_us":500}`. Only a one-shard
+//! bus can inject (like `Bus::inject_ring`), so a sharded session
+//! steers through the shard-agnostic snapshot round trip: checkpoint →
+//! apply the mutations on a one-shard rebuild → restore the mutated
+//! state into a fresh sharded build. The continuation is bit-identical
+//! to steering the same state on one shard.
 //!
 //! Every reply carries `"ok"`; failures are reported as
 //! `{"ok":false,"error":"..."}` and the session keeps serving.
@@ -76,15 +76,17 @@
 //! nested deeper than [`MAX_DEPTH`]; a chain of more than [`MAX_RINGS`]
 //! rings is refused with `"kind":"too_many_rings"` before it is built.
 //! A number too large for the field it sets (a `cascade_limit` past
-//! `u32`, a time whose nanoseconds overflow the simulated clock, a
-//! purge `count` past `u32`) is refused with `"kind":"out_of_range"`
-//! instead of being truncated or wrapped.
+//! `u32`, a `step_ms` or `extra_us` whose nanoseconds overflow the
+//! simulated clock) or past a session limit (an `until_ms` past
+//! [`MAX_UNTIL_MS`], a purge `count` past [`MAX_PURGE_COUNT`]) is
+//! refused with `"kind":"out_of_range"` instead of being truncated,
+//! wrapped or run.
 //! The
 //! simulation is deterministic throughout: the same command script
 //! against the same session line produces byte-identical stdout.
 
 use ctms_core::{
-    apply_mutations, fork, Bus, ForkSpec, Mutation, RingChainTestbed, Scenario, ShardedBus, Testbed,
+    apply_mutations, fork, Bus, ForkSpec, Mutation, RingChainTestbed, Scenario, Testbed,
 };
 use ctms_router::BridgeKind;
 use ctms_sim::telemetry::{fnv1a, json_string};
@@ -494,6 +496,36 @@ fn ms_to_ns(key: &str, ms: u64) -> Result<u64, Refusal> {
         .ok_or_else(|| out_of_range(key, ms))
 }
 
+/// Latest absolute horizon a `run` or `fork` may ask for, in simulated
+/// milliseconds: one simulated hour. A larger `until_ms` is refused with
+/// an `out_of_range` error, so one line cannot keep a session busy for
+/// months (case A simulates 10 minutes in about half a second of wall
+/// clock).
+pub const MAX_UNTIL_MS: u64 = 3_600_000;
+
+/// Most purge sequences one `purge_storm` mutation may inject; a larger
+/// `count` is refused with an `out_of_range` error. Each purge is
+/// injected and recorded one by one, so the bound caps the work (and
+/// the measurement records) of one steer.
+pub const MAX_PURGE_COUNT: u64 = 10_000;
+
+/// The refusal for a number past the session's limit `max` for `key`.
+fn over_limit(key: &str, n: u64, max: u64) -> Refusal {
+    Refusal {
+        kind: Some("out_of_range"),
+        msg: format!("\"{key}\" {n} exceeds the limit of {max}"),
+    }
+}
+
+/// A `run`/`fork` horizon of `ms` milliseconds as a simulated instant,
+/// refused past [`MAX_UNTIL_MS`].
+fn parse_until(ms: u64) -> Result<SimTime, Refusal> {
+    if ms > MAX_UNTIL_MS {
+        return Err(over_limit("until_ms", ms, MAX_UNTIL_MS));
+    }
+    Ok(SimTime::from_ms(ms))
+}
+
 #[derive(Clone, Debug)]
 struct Spec {
     kind: ScenarioKind,
@@ -552,37 +584,25 @@ impl Spec {
         sc
     }
 
-    fn build(&self) -> ShardedBus {
-        let sc = self.scenario();
-        match self.kind {
-            ScenarioKind::CaseA | ScenarioKind::CaseB => {
-                if self.shards > 1 {
-                    Testbed::ctms_sharded(&sc, self.shards).0
-                } else {
-                    ShardedBus::Single(Testbed::ctms(&sc).into_bus())
-                }
-            }
-            ScenarioKind::Chain => {
-                let kind = BridgeKind::cut_through_bridge();
-                if self.shards > 1 {
-                    RingChainTestbed::chain_sharded(&sc, kind, self.rings, self.shards).into_bus()
-                } else {
-                    ShardedBus::Single(RingChainTestbed::chain(&sc, kind, self.rings).into_bus())
-                }
-            }
-        }
+    /// The session's bus at its shard count (single-ring scenarios run
+    /// one shard at any count).
+    fn build(&self) -> Bus {
+        self.build_on(self.shards)
     }
 
-    /// The single-threaded rebuild fork branches run on (checkpoints
-    /// are shard-agnostic, so this restores snapshots from any mode).
-    fn build_single(&self) -> Bus {
+    /// The session's bus on `shards` shards; checkpoints are
+    /// shard-agnostic, so any build restores snapshots from any other.
+    fn build_on(&self, shards: usize) -> Bus {
         let sc = self.scenario();
         match self.kind {
             ScenarioKind::CaseA | ScenarioKind::CaseB => Testbed::ctms(&sc).into_bus(),
-            ScenarioKind::Chain => {
-                RingChainTestbed::chain(&sc, BridgeKind::cut_through_bridge(), self.rings)
-                    .into_bus()
-            }
+            ScenarioKind::Chain => RingChainTestbed::chain_sharded(
+                &sc,
+                BridgeKind::cut_through_bridge(),
+                self.rings,
+                shards,
+            )
+            .into_bus(),
         }
     }
 }
@@ -603,9 +623,12 @@ fn parse_mutation(v: &Json) -> Result<Mutation, Refusal> {
         }),
         "purge_storm" => {
             let count = need("count")?;
+            if count > MAX_PURGE_COUNT {
+                return Err(over_limit("count", count, MAX_PURGE_COUNT));
+            }
             Ok(Mutation::PurgeStorm {
                 ring: need("ring")? as usize,
-                count: u32::try_from(count).map_err(|_| out_of_range("count", count))?,
+                count: count as u32,
             })
         }
         "dma_stall" => {
@@ -689,7 +712,7 @@ fn emit_cascade_err(out: &mut impl Write, e: &ctms_sim::CascadeError) {
     );
 }
 
-fn status_line(bus: &ShardedBus) -> String {
+fn status_line(bus: &Bus) -> String {
     let presented: usize = bus
         .measure_parts()
         .iter()
@@ -869,9 +892,9 @@ pub fn run_with_line_cap(input: impl BufRead, out: &mut impl Write, max_line_byt
                     continue;
                 };
                 let step = cmd.get("step_ms").and_then(Json::as_u64).filter(|&s| s > 0);
-                let times = ms_to_ns("until_ms", until_ms).and_then(|until| {
+                let times = parse_until(until_ms).and_then(|until| {
                     let step = step.map(|ms| ms_to_ns("step_ms", ms)).transpose()?;
-                    Ok((SimTime::from_ns(until), step))
+                    Ok((until, step))
                 });
                 let (until, step_ns) = match times {
                     Ok(t) => t,
@@ -993,27 +1016,26 @@ pub fn run_with_line_cap(input: impl BufRead, out: &mut impl Write, max_line_byt
                         continue;
                     }
                 };
-                let steered = match bus.as_single_mut() {
-                    Some(single) => apply_mutations(single, &muts),
-                    None => {
-                        // Sharded session: only the single-threaded bus
-                        // can inject, so steer through the shard-agnostic
-                        // snapshot round trip — checkpoint here, mutate
-                        // on a single-threaded rebuild, restore the
-                        // mutated state into a fresh sharded build.
-                        let snapshot = bus.checkpoint();
-                        let mut single = spec.build_single();
-                        single
-                            .restore_checkpoint(&snapshot)
-                            .and_then(|()| apply_mutations(&mut single, &muts))
-                            .and_then(|()| {
-                                let mutated = single.checkpoint();
-                                let mut fresh = spec.build();
-                                fresh.restore_checkpoint(&mutated).map(|()| {
-                                    bus = fresh;
-                                })
+                let steered = if bus.shard_count() == 1 {
+                    apply_mutations(&mut bus, &muts)
+                } else {
+                    // Sharded session: only a one-shard bus can inject,
+                    // so steer through the shard-agnostic snapshot round
+                    // trip — checkpoint here, mutate on a one-shard
+                    // rebuild, restore the mutated state into a fresh
+                    // sharded build.
+                    let snapshot = bus.checkpoint();
+                    let mut single = spec.build_on(1);
+                    single
+                        .restore_checkpoint(&snapshot)
+                        .and_then(|()| apply_mutations(&mut single, &muts))
+                        .and_then(|()| {
+                            let mutated = single.checkpoint();
+                            let mut fresh = spec.build();
+                            fresh.restore_checkpoint(&mutated).map(|()| {
+                                bus = fresh;
                             })
-                    }
+                        })
                 };
                 match steered {
                     Ok(()) => emit(
@@ -1032,8 +1054,8 @@ pub fn run_with_line_cap(input: impl BufRead, out: &mut impl Write, max_line_byt
                     emit_err(out, "fork needs numeric \"until_ms\"");
                     continue;
                 };
-                let run_to = match ms_to_ns("until_ms", until_ms) {
-                    Ok(ns) => SimTime::from_ns(ns),
+                let run_to = match parse_until(until_ms) {
+                    Ok(t) => t,
                     Err(r) => {
                         emit_refusal(out, &r);
                         continue;
@@ -1072,7 +1094,7 @@ pub fn run_with_line_cap(input: impl BufRead, out: &mut impl Write, max_line_byt
                     snapshot,
                     branches,
                     ctms_sim::default_threads(n),
-                    move || build_spec.build_single(),
+                    move || build_spec.build_on(1),
                     |_idx, mut branch: Bus| {
                         let tree = branch.telemetry_json();
                         let m = branch.measurements();
@@ -1162,5 +1184,18 @@ mod tests {
 
         let v = parse_json("{\"scenario\":\"chain\",\"cascade_limit\":4294967296}").unwrap();
         assert_eq!(Spec::parse(&v).unwrap_err().kind, Some("out_of_range"));
+    }
+
+    /// The horizon cap itself is a valid horizon; one millisecond more
+    /// is refused.
+    #[test]
+    fn horizons_are_capped_at_max_until_ms() {
+        assert_eq!(
+            parse_until(MAX_UNTIL_MS).unwrap(),
+            SimTime::from_secs(3_600)
+        );
+        let r = parse_until(MAX_UNTIL_MS + 1).unwrap_err();
+        assert_eq!(r.kind, Some("out_of_range"));
+        assert_eq!(r.msg, "\"until_ms\" 3600001 exceeds the limit of 3600000");
     }
 }

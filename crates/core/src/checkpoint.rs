@@ -12,10 +12,10 @@
 //! edge-log digests are byte-identical (pinned by tier-1 tests).
 //!
 //! The format is *shard-agnostic*: bytes written by a 4-shard
-//! conservative-parallel run restore into a single-threaded bus or a
-//! 2-shard one, because both engines walk nodes in global registration
-//! order and the per-shard router parts are merged canonically at
-//! persist time (see `topology::persist_router_parts`).
+//! conservative-parallel run restore into a one-shard bus or a 2-shard
+//! one, because the harness walks nodes in global registration order at
+//! any shard count and the per-shard router parts are merged
+//! canonically at persist time (see `topology::persist_router_parts`).
 //!
 //! On top of plain resume sit two steering facilities:
 //!
@@ -24,7 +24,6 @@
 //! * [`fork`] — clone one checkpoint into N divergent continuations and
 //!   run them concurrently on the persistent sweep pool.
 
-use crate::parallel::ShardedBus;
 use crate::topology::Bus;
 use ctms_sim::{
     parallel_map, ChunkSink, ChunkedReader, ChunkedWriter, Dec, Dur, Enc, FramedWrite,
@@ -109,8 +108,8 @@ fn check_signature(dec: &mut Dec<'_>, own: &[u8]) -> Result<(), PersistError> {
 
 impl Bus {
     /// Serializes the complete dynamic state behind a magic/version
-    /// header. Call at a quiescent instant — after
-    /// [`Bus::try_run_until`] has returned.
+    /// header — the same bytes at every shard count. Call at a
+    /// quiescent instant — after [`Bus::try_run_until`] has returned.
     pub fn checkpoint(&self) -> Vec<u8> {
         let mut enc = header();
         enc.bytes(&self.topology_signature());
@@ -122,7 +121,8 @@ impl Bus {
     /// have been built from the same topology description (same
     /// scenario, same seeds) — the embedded graph signature is verified
     /// first, then node counts and kinds, and the whole stream must be
-    /// consumed.
+    /// consumed. The snapshot's shard count and this bus's need not
+    /// match.
     pub fn restore_checkpoint(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
         let mut dec = open(bytes)?;
         check_signature(&mut dec, &self.topology_signature())?;
@@ -181,77 +181,6 @@ impl Bus {
     }
 }
 
-impl ShardedBus {
-    /// Serializes the complete dynamic state behind a magic/version
-    /// header — the **same bytes** a single-threaded bus produces for
-    /// the same simulation state. Call at a sync-instant boundary
-    /// (after [`ShardedBus::try_run_until`] has returned).
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let mut enc = header();
-        enc.bytes(&self.topology_signature());
-        self.persist_state(&mut enc);
-        seal(enc)
-    }
-
-    /// Applies a checkpoint onto this freshly built bus. The snapshot
-    /// may come from any execution mode: a 4-shard snapshot restores
-    /// into a single-threaded bus or a 2-shard one — the graph
-    /// signature is shard-agnostic, only the shape must match.
-    pub fn restore_checkpoint(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
-        let mut dec = open(bytes)?;
-        check_signature(&mut dec, &self.topology_signature())?;
-        self.restore_state(&mut dec)?;
-        dec.finish()
-    }
-
-    /// Streams the checkpoint through `sink` chunk by chunk — see
-    /// [`Bus::checkpoint_stream`]. The concatenated payloads are
-    /// byte-identical to [`ShardedBus::checkpoint`] (and therefore to
-    /// the single-threaded bus), at bounded peak memory. Returns
-    /// `(payload_bytes, chunks)`.
-    pub fn checkpoint_stream(&self, sink: &mut dyn ChunkSink) -> Result<(u64, u64), PersistError> {
-        let mut w = ChunkedWriter::new(sink);
-        write_header(w.enc());
-        let sig = self.topology_signature();
-        w.enc().bytes(&sig);
-        self.persist_state_chunked(&mut w)?;
-        w.finish()
-    }
-
-    /// Streams the checkpoint into `out` using the standard
-    /// length-prefixed chunk framing — see [`Bus::write_checkpoint`].
-    pub fn write_checkpoint(
-        &self,
-        out: &mut dyn std::io::Write,
-    ) -> Result<(u64, u64), PersistError> {
-        let mut sink = FramedWrite::new(out);
-        self.checkpoint_stream(&mut sink)
-    }
-
-    /// Restores from a stream written by any bus flavor's
-    /// `write_checkpoint` — shard counts need not match; see
-    /// [`Bus::read_checkpoint`].
-    pub fn read_checkpoint(&mut self, inp: &mut dyn std::io::Read) -> Result<(), PersistError> {
-        let mut r = ChunkedReader::new(inp);
-        let mut first = Vec::new();
-        if !r.next_chunk_into(&mut first)? {
-            // No chunks at all: an empty (terminator-only) stream.
-            return Err(PersistError::UnexpectedEof);
-        }
-        let mut prefix = Dec::new(&first);
-        open_header(&mut prefix)?;
-        check_signature(&mut prefix, &self.topology_signature())?;
-        let mut buf = Vec::new();
-        self.restore_state_chunked(&mut prefix, &mut r, &mut buf)?;
-        if r.next_chunk_into(&mut buf)? {
-            return Err(PersistError::mismatch(
-                "streamed checkpoint has trailing chunks past the router state".to_string(),
-            ));
-        }
-        Ok(())
-    }
-}
-
 /// A deterministic perturbation applied at a restore point, before the
 /// continued run — the steering hooks of the what-if workflow. Each
 /// mutation maps onto an existing first-class disturbance of the model,
@@ -283,15 +212,22 @@ pub enum Mutation {
 }
 
 /// Applies mutations in order at the current instant, routing their
-/// fallout deterministically. Only the single-threaded [`Bus`] supports
-/// injection (mirroring [`ShardedBus::inject_ring`]'s contract), which
-/// is no restriction: a checkpoint from any shard count restores into a
-/// single-threaded bus.
+/// fallout deterministically. Injection needs a one-shard bus (see
+/// [`Bus::inject_ring`]), which is no restriction: a checkpoint from any
+/// shard count restores into a one-shard build.
 ///
-/// Errors use the checkpoint layer's [`PersistError`]: out-of-range
-/// indices and cascade overflow during fallout routing both poison the
-/// mutation batch.
+/// Errors use the checkpoint layer's [`PersistError`]: a sharded bus
+/// (refused before anything is applied), out-of-range indices and
+/// cascade overflow during fallout routing all poison the mutation
+/// batch.
 pub fn apply_mutations(bus: &mut Bus, mutations: &[Mutation]) -> Result<(), PersistError> {
+    if !mutations.is_empty() && bus.shard_count() > 1 {
+        return Err(PersistError::mismatch(format!(
+            "mutations need a one-shard bus (this one runs {} shards); \
+             restore its checkpoint into a one-shard build to steer it",
+            bus.shard_count()
+        )));
+    }
     for m in mutations {
         match *m {
             Mutation::StationChurn { ring } => {

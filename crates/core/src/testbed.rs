@@ -3,7 +3,7 @@
 //! §5.2.1: "We were able to coordinate the activities of the transmitter,
 //! receiver and the TAP tool under a centralized control point." That
 //! control point is the generic [`ctms_sim::Harness`]; this type only
-//! *describes* the §5 prototype as a [`Topology`](crate::Topology) — one
+//! *describes* the §5 prototype as a [`Topology`] — one
 //! ring, the CTMS hosts at its stations, optional campus background
 //! traffic — and exposes scenario-aware accessors over the recorded
 //! [`Measurements`](crate::Measurements).
@@ -86,18 +86,18 @@ impl Testbed {
         }
     }
 
-    /// Builds the §5 testbed's topology on the conservative-parallel
-    /// sharded bus. A single-ring topology cannot be partitioned, so
-    /// this always falls back to the single-threaded harness — the
-    /// point is that the fallback is transparent and bit-identical,
-    /// which the shard-parity tests pin.
+    /// Builds the §5 testbed's topology through the sharded build
+    /// ([`crate::Topology::build_sharded`]). A single-ring topology
+    /// cannot be partitioned, so this always runs one shard — the point
+    /// is that the fallback is transparent and bit-identical, which the
+    /// shard-parity tests pin.
     pub fn ctms_sharded(sc: &Scenario, shards: usize) -> (ShardedBus, Roles) {
         let (topo, roles) = Self::ctms_topology(sc);
         (topo.build_sharded(shards), roles)
     }
 
     /// The §5 testbed as a [`Topology`] description plus its driver-id
-    /// bookkeeping — shared by the single-threaded and sharded builders.
+    /// bookkeeping — shared by the plain and sharded builders.
     fn ctms_topology(sc: &Scenario) -> (Topology, Roles) {
         let root = Pcg32::new(sc.seed, 0xC7);
         let mut ring_cfg = sc.calib.ring.clone();
@@ -589,7 +589,7 @@ impl Testbed {
 
     /// A specific ground-truth log.
     pub fn truth_log(&self, host: usize, point: MeasurePoint) -> Option<&EdgeLog> {
-        self.bus.measurements().truth_log(host, point)
+        self.bus.truth_log(host, point)
     }
 
     /// All recorded drops.

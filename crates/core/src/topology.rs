@@ -20,13 +20,12 @@
 //! then phantom — which is also the deadline-tie service order, so runs
 //! are bit-identical to the old fixed advance orders.
 
-use crate::parallel::{ParallelBus, Profitability, ShardedBus};
+use crate::parallel::{Profitability, ShardedBus, CALIBRATION_WINDOWS};
 use crate::testbed::DropRec;
 use ctms_measure::{Tap, TapCfg};
 use ctms_router::{Bridge, BridgeCmd, BridgeOut};
 use ctms_sim::{
-    CascadeError, CmdSink, Component, Dur, EdgeLog, Harness, NodeId, Router, ShardedHarness,
-    SimTime,
+    CascadeError, CmdSink, Component, Dur, EdgeLog, Harness, NodeId, Router, ShardStats, SimTime,
 };
 use ctms_tokenring::{RingCmd, RingOut, StationId, TokenRing};
 use ctms_unixkern::{
@@ -286,16 +285,37 @@ impl CtmsRouter {
         }
     }
 
-    /// A fresh single-threaded router over the same wiring as this one
-    /// (every TAP, no measurements) — the target a sharded run's merged
-    /// router state restores into.
-    pub(crate) fn fresh_single(&self) -> Self {
-        CtmsRouter::new(
-            Arc::clone(&self.slots),
-            |_| true,
-            self.purge_subscribers.clone(),
-            self.m.truth.len(),
-        )
+    /// Folds the per-shard routers of a collapsing sharded bus (in
+    /// shard order) into one: each TAP and truth log moves over from its
+    /// owner part, and the flat event lists are concatenated and stably
+    /// sorted by time — the router state a checkpoint restore of the
+    /// same simulation produces, so the bytes of every later checkpoint
+    /// match the single-threaded run's.
+    fn merge(parts: Vec<CtmsRouter>) -> CtmsRouter {
+        let mut parts = parts.into_iter();
+        let mut one = parts.next().expect("at least one router part");
+        for p in parts {
+            for (slot, tap) in p.taps.into_iter().enumerate() {
+                if tap.is_some() {
+                    one.taps[slot] = tap;
+                }
+            }
+            for (mine, theirs) in one.m.truth.iter_mut().zip(p.m.truth) {
+                mine.extend(theirs);
+            }
+            one.m.drops.extend(p.m.drops);
+            one.m.presented.extend(p.m.presented);
+            one.m.sock_delivered.extend(p.m.sock_delivered);
+            one.m.purge_starts.extend(p.m.purge_starts);
+            one.m.lost_to_purge.extend(p.m.lost_to_purge);
+            one.m.bridge_drops += p.m.bridge_drops;
+        }
+        one.m.drops.sort_by_key(|d| d.at);
+        one.m.presented.sort_by_key(|e| e.0);
+        one.m.sock_delivered.sort_by_key(|e| e.0);
+        one.m.purge_starts.sort();
+        one.m.lost_to_purge.sort_by_key(|e| e.0);
+        one
     }
 
     /// The recorded ground truth.
@@ -327,44 +347,17 @@ impl Router<Node> for CtmsRouter {
     /// name order), and the inter-presentation histogram the paper's
     /// glitch analysis reads (1 ms bins up to 64 ms).
     fn publish_telemetry(&self, reg: &mut ctms_sim::Registry) {
-        use ctms_sim::Instrument as _;
-        let mut m = reg.scope("measure");
-        m.counter("drops", self.m.drops.len() as u64);
-        m.counter("presented", self.m.presented.len() as u64);
-        m.counter("sock_delivered", self.m.sock_delivered.len() as u64);
-        m.counter("purge_starts", self.m.purge_starts.len() as u64);
-        m.counter("lost_to_purge", self.m.lost_to_purge.len() as u64);
-        m.counter("bridge_drops", self.m.bridge_drops);
-        if self.m.presented.len() >= 2 {
-            let mut gaps = ctms_sim::telemetry::Hist::new(1, 64);
-            for w in self.m.presented.windows(2) {
-                gaps.record(w[1].0.since(w[0].0).as_ns() / 1_000_000);
-            }
-            m.hist("presented_gap_ms", gaps);
-        }
-        for (k, tap) in self.taps.iter().flatten().enumerate() {
-            tap.publish(&mut m.scope(&format!("tap.ring{k}")));
-        }
-        for (i, points) in self.m.truth.iter().enumerate() {
-            let mut logs: Vec<(String, &EdgeLog)> =
-                points.iter().map(|(p, l)| (format!("{p:?}"), l)).collect();
-            logs.sort_by(|a, b| a.0.cmp(&b.0));
-            for (name, log) in logs {
-                log.publish(&mut m.scope(&format!("truth.h{i}.{name}")));
-            }
-        }
+        Self::publish_merged(&[self], reg);
     }
-}
 
-/// Merges the per-shard routers of a sharded run back into the exact
-/// `measure.*` tree [`CtmsRouter::publish_telemetry`] produces for a
-/// single-threaded run — byte-identical, which the shard-parity tests
-/// pin. Aggregate counters are sums; presentations are re-merged by
-/// time (each sink's stream is already chronological, and tie order
-/// cannot change the gap histogram); each TAP and each truth log is
-/// owned by exactly one shard (the ring's or host's owner), so merging
-/// is selection, not summation.
-impl ctms_sim::MergeTelemetry for CtmsRouter {
+    /// Merges the per-shard routers of a sharded run back into the exact
+    /// `measure.*` tree one router produces — byte-identical, which the
+    /// shard-parity tests pin. Aggregate counters are sums;
+    /// presentations are re-merged by time (each sink's stream is
+    /// already chronological, and tie order cannot change the gap
+    /// histogram); each TAP and each truth log is owned by exactly one
+    /// shard (the ring's or host's owner), so merging is selection, not
+    /// summation.
     fn publish_merged(parts: &[&Self], reg: &mut ctms_sim::Registry) {
         use ctms_sim::Instrument as _;
         let mut m = reg.scope("measure");
@@ -399,7 +392,7 @@ impl ctms_sim::MergeTelemetry for CtmsRouter {
             m.hist("presented_gap_ms", gaps);
         }
         // Every ring slot has its TAP in exactly one part; numbering
-        // follows slot order, matching the single-threaded enumerate().
+        // follows slot order.
         let n_slots = parts.first().map_or(0, |p| p.slots.len());
         let mut k = 0;
         for i in 0..n_slots {
@@ -637,8 +630,7 @@ impl Topology {
     }
 
     /// The complete routing-metadata table, in NodeId order (rings,
-    /// bridges, hosts, phantom) — shared between the single-threaded
-    /// and sharded builds.
+    /// bridges, hosts, phantom) — shared by every shard's router.
     fn make_slots(&self) -> Vec<Slot> {
         let n_rings = self.rings.len();
         let n_bridges = self.bridges.len();
@@ -697,61 +689,21 @@ impl Topology {
         slots
     }
 
-    /// Registers everything with a fresh harness and returns the live bus.
+    /// Registers everything with a one-shard harness and returns the
+    /// live bus.
     pub fn build(self) -> Bus {
-        let n_rings = self.rings.len();
-        let n_bridges = self.bridges.len();
-        let n_hosts = self.hosts.len();
-        let host_node = |k: usize| NodeId(n_rings + n_bridges + k);
-
-        let router = CtmsRouter::new(
-            self.make_slots().into(),
-            |_| true,
-            self.purge_subscribers
-                .iter()
-                .map(|&(host, driver)| (host_node(host), driver))
-                .collect(),
-            n_hosts,
-        );
-
-        let mut h = Harness::new(router, self.cascade_limit);
-        let mut ring_nodes = Vec::new();
-        for (k, ring) in self.rings.into_iter().enumerate() {
-            ring_nodes.push(
-                h.add_node_labeled(Node::Ring(ring, Vec::new()), format!("tokenring.ring{k}")),
-            );
-        }
-        let mut bridge_nodes = Vec::new();
-        for (k, spec) in self.bridges.into_iter().enumerate() {
-            bridge_nodes.push(h.add_node_labeled(
-                Node::Bridge(spec.bridge, Vec::new()),
-                format!("router.bridge{k}"),
-            ));
-        }
-        let mut host_nodes = Vec::new();
-        for (k, (_, _, host)) in self.hosts.into_iter().enumerate() {
-            host_nodes
-                .push(h.add_node_labeled(Node::Host(host, Vec::new()), format!("unixkern.h{k}")));
-        }
-        let phantom_node = self
-            .phantom
-            .map(|(_, p)| h.add_node_labeled(Node::Phantom(p, Vec::new()), "workloads.phantom"));
-
-        Bus {
-            h,
-            ring_nodes,
-            bridge_nodes,
-            host_nodes,
-            phantom_node,
-            profitability: None,
-        }
+        self.build_partitioned(1)
     }
 
-    /// Registers everything with a conservative-parallel
-    /// [`ShardedHarness`](ctms_sim::ShardedHarness), partitioned by ring,
-    /// and returns a [`ShardedBus`]. Results are bit-identical to
-    /// [`Topology::build`] — parallelism may never change the answer,
-    /// only the wall clock.
+    /// [`Topology::build_partitioned`] behind the [`ShardedBus`] wrapper.
+    pub fn build_sharded(self, shards: usize) -> ShardedBus {
+        ShardedBus::Single(self.build_partitioned(shards))
+    }
+
+    /// Registers everything with a harness of up to `shards` shards,
+    /// partitioned by ring, and returns the live bus. Results are
+    /// bit-identical at every shard count — parallelism may never change
+    /// the answer, only the wall clock.
     ///
     /// Partition rule: the ring graph (rings as nodes, bridges as
     /// edges — a multi-port bridge couples every pair of its rings) is
@@ -766,43 +718,54 @@ impl Topology {
     /// well-separated partitions run wider windows than the global
     /// minimum would allow.
     ///
-    /// Falls back to the single-threaded harness (same results, one
-    /// thread) whenever sharding cannot help or cannot be proven sound:
+    /// The bus runs on one shard (same results, one thread) whenever
+    /// sharding cannot help or cannot be proven sound:
     ///
     /// * fewer than two shards would result (`shards <= 1` or one ring),
     /// * purge subscriptions exist (purge fan-out may cross shards from
     ///   a non-sync ring node),
     /// * a phantom generator is attached (its broadcast LLC frames are
     ///   delivered to every station, including remote bridge ports).
-    pub fn build_sharded(self, shards: usize) -> ShardedBus {
+    ///
+    /// A bus built with several shards also passes the profitability
+    /// gate on its first run (see [`Bus::try_run_until`]).
+    pub fn build_partitioned(self, shards: usize) -> Bus {
         let n_rings = self.rings.len();
-        let s = shards.min(n_rings);
-        if s <= 1 || !self.purge_subscribers.is_empty() || self.phantom.is_some() {
-            return ShardedBus::Single(self.build());
-        }
-
+        let n_bridges = self.bridges.len();
         let n_hosts = self.hosts.len();
-        // Graph partition: bridges are the edges (a multi-port bridge
-        // couples every pair of its rings).
-        let edges: Vec<(usize, usize)> = self
-            .bridges
-            .iter()
-            .flat_map(|spec| {
-                let r = &spec.rings;
-                (0..r.len()).flat_map(move |i| (i + 1..r.len()).map(move |j| (r[i], r[j])))
-            })
-            .collect();
-        let part = crate::graph::partition_rings(n_rings, &edges, s);
-        let ring_shard = |i: usize| part[i];
+        let s = if self.purge_subscribers.is_empty() && self.phantom.is_none() {
+            shards.min(n_rings).max(1)
+        } else {
+            1
+        };
+        let part = if s > 1 {
+            // Graph partition: bridges are the edges (a multi-port
+            // bridge couples every pair of its rings).
+            let edges: Vec<(usize, usize)> = self
+                .bridges
+                .iter()
+                .flat_map(|spec| {
+                    let r = &spec.rings;
+                    (0..r.len()).flat_map(move |i| (i + 1..r.len()).map(move |j| (r[i], r[j])))
+                })
+                .collect();
+            crate::graph::partition_rings(n_rings, &edges, s)
+        } else {
+            Vec::new()
+        };
+        let ring_shard = |r: usize| if s > 1 { part[r] } else { 0 };
         let bridge_shard: Vec<usize> = self
             .bridges
             .iter()
-            .map(|spec| part[spec.rings[spec.owner]])
+            .map(|spec| ring_shard(spec.rings[spec.owner]))
             .collect();
         let bridge_sync: Vec<bool> = self
             .bridges
             .iter()
-            .map(|spec| spec.rings.iter().any(|&r| part[r] != part[spec.rings[0]]))
+            .map(|spec| {
+                let first = ring_shard(spec.rings[0]);
+                spec.rings.iter().any(|&r| ring_shard(r) != first)
+            })
             .collect();
         // Global floor (seal-time sanity bound).
         let lookahead = self
@@ -819,7 +782,10 @@ impl Topology {
         // co-sharded with it, so delivery into the bridge is always
         // local), and only toward the shards of the bridge's port
         // rings, delayed by at least that bridge's forwarding latency.
-        let mut influence: Vec<Vec<Option<Dur>>> = vec![vec![None; s]; s];
+        let mut influence: Vec<Vec<Option<Dur>>> = match s {
+            1 => Vec::new(),
+            _ => vec![vec![None; s]; s],
+        };
         for ((spec, sync), &o) in self.bridges.iter().zip(&bridge_sync).zip(&bridge_shard) {
             if !*sync {
                 continue;
@@ -834,34 +800,39 @@ impl Topology {
                 spec.bridge.kind()
             );
             for &r in &spec.rings {
-                let k = part[r];
+                let k = ring_shard(r);
                 if k != o {
                     influence[o][k] = Some(influence[o][k].map_or(la, |cur| cur.min(la)));
                 }
             }
         }
 
-        let slots: Arc<[Slot]> = self.make_slots().into();
-        let routers: Vec<CtmsRouter> = (0..s)
-            .map(|shard| {
-                // One shared wiring table for all shards (the Arc clone
-                // is a refcount bump); each ring's TAP lives with the
-                // ring's owner shard, and the merged telemetry
-                // re-numbers them globally.
-                CtmsRouter::new(
-                    Arc::clone(&slots),
-                    |i| ring_shard(i) == shard,
-                    Vec::new(),
-                    n_hosts,
-                )
-            })
+        // NodeIds are assigned in push order: rings, bridges, hosts, phantom.
+        let host_node = |k: usize| NodeId(n_rings + n_bridges + k);
+        let purge_subscribers: Vec<(NodeId, DriverId)> = self
+            .purge_subscribers
+            .iter()
+            .map(|&(host, driver)| (host_node(host), driver))
             .collect();
-
-        let mut h = ShardedHarness::new(routers, self.cascade_limit, lookahead);
-        h.set_influence_lookaheads(influence);
+        let slots: Arc<[Slot]> = self.make_slots().into();
+        // One shared wiring table for all shards (the Arc clone is a
+        // refcount bump); each ring's TAP lives with the ring's owner
+        // shard, and the merged telemetry re-numbers them globally.
+        let routers = (0..s).map(|shard| {
+            CtmsRouter::new(
+                Arc::clone(&slots),
+                |i| ring_shard(i) == shard,
+                purge_subscribers.clone(),
+                n_hosts,
+            )
+        });
+        let mut h = Harness::sharded(routers, self.cascade_limit, lookahead);
+        if s > 1 {
+            h.set_influence_lookaheads(influence);
+        }
         let mut ring_nodes = Vec::new();
         for (k, ring) in self.rings.into_iter().enumerate() {
-            ring_nodes.push(h.add_node_labeled(
+            ring_nodes.push(h.add_node_on(
                 Node::Ring(ring, Vec::new()),
                 format!("tokenring.ring{k}"),
                 ring_shard(k),
@@ -870,7 +841,7 @@ impl Topology {
         }
         let mut bridge_nodes = Vec::new();
         for (k, spec) in self.bridges.into_iter().enumerate() {
-            bridge_nodes.push(h.add_node_labeled(
+            bridge_nodes.push(h.add_node_on(
                 Node::Bridge(spec.bridge, Vec::new()),
                 format!("router.bridge{k}"),
                 bridge_shard[k],
@@ -879,81 +850,123 @@ impl Topology {
         }
         let mut host_nodes = Vec::new();
         for (k, (ring, _, host)) in self.hosts.into_iter().enumerate() {
-            host_nodes.push(h.add_node_labeled(
+            host_nodes.push(h.add_node_on(
                 Node::Host(host, Vec::new()),
                 format!("unixkern.h{k}"),
                 ring_shard(ring),
                 false,
             ));
         }
+        // Only a one-shard build carries a phantom generator.
+        let phantom_node = self
+            .phantom
+            .map(|(_, p)| h.add_node_labeled(Node::Phantom(p, Vec::new()), "workloads.phantom"));
 
-        ShardedBus::Parallel(ParallelBus {
+        Bus {
             h,
             ring_nodes,
             bridge_nodes,
             host_nodes,
+            phantom_node,
             prefix_start: None,
             profitability: None,
-        })
+        }
     }
 }
 
-/// A built topology: the harness plus typed access to its nodes. The
-/// concrete testbeds ([`crate::Testbed`], [`crate::RingChainTestbed`])
-/// wrap this with scenario-specific construction and accessors.
+/// A built topology: the harness plus typed access to its nodes, at any
+/// shard count. The concrete testbeds ([`crate::Testbed`],
+/// [`crate::RingChainTestbed`]) wrap this with scenario-specific
+/// construction and accessors.
 pub struct Bus {
     h: Harness<Node, CtmsRouter>,
     ring_nodes: Vec<NodeId>,
     bridge_nodes: Vec<NodeId>,
     host_nodes: Vec<NodeId>,
     phantom_node: Option<NodeId>,
-    /// The profitability gate's measurement, when this bus is a sharded
-    /// bus that demoted itself (see [`ShardedBus::profitability`]).
+    /// `(events, windows)` when the profitability gate's calibration
+    /// prefix began; `None` until the first run after a build or
+    /// restore.
+    prefix_start: Option<(u64, u64)>,
+    /// The gate's measurement, once the prefix completed.
     profitability: Option<Profitability>,
 }
 
 impl Bus {
-    /// A bus over the nodes a demoted sharded bus handed over: `h`
-    /// holds them in global registration order, the id lists are the
-    /// sharded bus's, and `profitability` is the gate's verdict.
-    /// Sharded topologies have no phantom generator (`build_sharded`
-    /// falls back for one).
-    pub(crate) fn from_sharded_parts(
-        h: Harness<Node, CtmsRouter>,
-        ring_nodes: Vec<NodeId>,
-        bridge_nodes: Vec<NodeId>,
-        host_nodes: Vec<NodeId>,
-        profitability: Profitability,
-    ) -> Bus {
-        Bus {
-            h,
-            ring_nodes,
-            bridge_nodes,
-            host_nodes,
-            phantom_node: None,
-            profitability: Some(profitability),
-        }
-    }
-
-    /// The profitability gate's verdict, when this bus is a demoted
-    /// sharded bus.
-    pub(crate) fn profitability(&self) -> Option<Profitability> {
-        self.profitability
-    }
-
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.h.now()
     }
 
+    /// Number of shards actually running — the *effective* shard count:
+    /// 1 for a one-shard build and for a bus the profitability gate
+    /// demoted.
+    pub fn shard_count(&self) -> usize {
+        self.h.shard_count()
+    }
+
+    /// Caps how many pool workers a window dispatch invites (no effect
+    /// on one shard).
+    pub fn set_threads(&mut self, threads: usize) {
+        self.h.set_threads(threads);
+    }
+
+    /// The profitability gate's measurement: `Some` once a bus built
+    /// with several shards completed its calibration prefix, whether it
+    /// stayed sharded or demoted itself ([`Profitability::demotes`]);
+    /// `None` before that and for buses built with one shard.
+    pub fn profitability(&self) -> Option<Profitability> {
+        self.profitability
+    }
+
     /// Runs until `horizon`; panics on cascade overflow.
     pub fn run_until(&mut self, horizon: SimTime) {
-        self.h.run_until(horizon);
+        if let Err(e) = self.try_run_until(horizon) {
+            panic!("{e}");
+        }
     }
 
     /// Runs until `horizon`, reporting cascade overflow as an error.
+    ///
+    /// A bus running several shards first passes the profitability
+    /// gate: the run stops at the first clean cut after
+    /// [`CALIBRATION_WINDOWS`] windows, and if those carried fewer than
+    /// [`crate::MIN_EVENTS_PER_WINDOW`] events each, the shards collapse
+    /// into one in place before the run goes on to `horizon`. The rule
+    /// reads only the simulation's own schedule, so it decides the same
+    /// at every thread count, and the result stays bit-identical either
+    /// way.
     pub fn try_run_until(&mut self, horizon: SimTime) -> Result<(), CascadeError> {
+        if self.h.shard_count() > 1 && self.calibrate(horizon)?.is_some_and(|v| v.demotes()) {
+            self.h.collapse(CtmsRouter::merge);
+        }
         self.h.try_run_until(horizon)
+    }
+
+    /// Runs the calibration prefix while it is open: up to `horizon`,
+    /// or to the first clean cut after [`CALIBRATION_WINDOWS`] windows.
+    /// Returns the gate's measurement when the prefix completed in this
+    /// call.
+    fn calibrate(&mut self, horizon: SimTime) -> Result<Option<Profitability>, CascadeError> {
+        if self.profitability.is_some() {
+            return Ok(None);
+        }
+        let (events0, windows0) = *self
+            .prefix_start
+            .get_or_insert((self.h.events(), self.h.windows()));
+        self.h
+            .try_run_until_windows(horizon, windows0 + CALIBRATION_WINDOWS)?;
+        let windows = self.h.windows() - windows0;
+        if windows < CALIBRATION_WINDOWS {
+            return Ok(None);
+        }
+        let verdict = Profitability {
+            shards: self.h.shard_count(),
+            windows,
+            events: self.h.events() - events0,
+        };
+        self.profitability = Some(verdict);
+        Ok(Some(verdict))
     }
 
     /// Number of rings.
@@ -962,7 +975,8 @@ impl Bus {
     }
 
     /// Component activations serviced so far (scheduler throughput
-    /// numerator for the perf harness; not part of telemetry).
+    /// numerator for the perf harness; not part of telemetry) — the
+    /// same count at every shard count, by construction.
     pub fn events(&self) -> u64 {
         self.h.events()
     }
@@ -1017,14 +1031,51 @@ impl Bus {
         })
     }
 
-    /// The TAP monitor on ring `k`.
-    pub fn tap(&self, k: usize) -> &Tap {
-        self.h.router().tap(self.ring_nodes[k])
+    /// The router part owning node `id`'s TAP or truth logs.
+    fn owner_part(&self, id: NodeId) -> &CtmsRouter {
+        self.h.shard_router(self.h.shard_of(id))
     }
 
-    /// The recorded ground truth.
+    /// Every router part, in shard order.
+    fn parts(&self) -> Vec<&CtmsRouter> {
+        (0..self.h.shard_count())
+            .map(|k| self.h.shard_router(k))
+            .collect()
+    }
+
+    /// The TAP monitor on ring `k` (it lives with the ring's shard).
+    pub fn tap(&self, k: usize) -> &Tap {
+        self.owner_part(self.ring_nodes[k]).tap(self.ring_nodes[k])
+    }
+
+    /// The recorded ground truth of a one-shard bus. Panics on a bus
+    /// running several shards, whose ground truth is split across
+    /// [`Bus::measure_parts`].
     pub fn measurements(&self) -> &Measurements {
-        self.h.router().measurements()
+        assert_eq!(
+            self.h.shard_count(),
+            1,
+            "a sharded bus records one measurement part per shard; use measure_parts"
+        );
+        self.h.shard_router(0).measurements()
+    }
+
+    /// The recorded ground truth, one part per running shard. Aggregate
+    /// counters are sums over the parts; truth logs and presentations
+    /// live in exactly one part each.
+    pub fn measure_parts(&self) -> Vec<&Measurements> {
+        self.parts()
+            .into_iter()
+            .map(CtmsRouter::measurements)
+            .collect()
+    }
+
+    /// Per-host trace log for one measurement point, if recorded (from
+    /// the host's owner shard).
+    pub fn truth_log(&self, host: usize, point: MeasurePoint) -> Option<&EdgeLog> {
+        self.owner_part(self.host_nodes[host])
+            .measurements()
+            .truth_log(host, point)
     }
 
     /// The cascade failure that poisoned this bus, if any.
@@ -1033,7 +1084,9 @@ impl Bus {
     }
 
     /// Delivers a ring command (e.g. a disturbance) to ring `k` at the
-    /// current instant, routing its fallout like any other event.
+    /// current instant, routing its fallout like any other event. Only
+    /// a one-shard bus injects; this panics on a sharded one (see
+    /// [`ctms_sim::Harness::inject`]).
     pub fn inject_ring(&mut self, k: usize, cmd: RingCmd) -> Result<(), CascadeError> {
         self.h.inject(self.ring_nodes[k], Cmd::Ring(cmd))
     }
@@ -1044,7 +1097,7 @@ impl Bus {
         self.h.telemetry()
     }
 
-    /// Re-collects every node's and the router's metrics into the
+    /// Re-collects every node's and the routers' metrics into the
     /// registry and returns it.
     pub fn collect_telemetry(&mut self) -> &mut ctms_sim::Registry {
         self.h.collect_telemetry()
@@ -1055,31 +1108,44 @@ impl Bus {
         self.h.snapshot_phase(name);
     }
 
-    /// Collects and serializes the registry as canonical JSON
-    /// (byte-identical across runs of the same seed).
+    /// Collects and serializes the registry as canonical JSON —
+    /// byte-identical across runs of the same seed, at any shard count.
     pub fn telemetry_json(&mut self) -> String {
         self.h.telemetry_json()
     }
 
+    /// Execution-layer counters (windows, sync instants, per-shard
+    /// mailbox traffic) — kept out of the main registry so telemetry
+    /// stays byte-identical at every shard count.
+    pub fn exec_telemetry(&self) -> ctms_sim::Registry {
+        self.h.exec_telemetry()
+    }
+
+    /// Execution counters for running shard `k`.
+    pub fn shard_stats(&self, k: usize) -> ShardStats {
+        self.h.shard_stats(k)
+    }
+
     /// Appends every piece of dynamic state — harness (clock, nodes,
-    /// telemetry history) then the router's canonical measurement state
-    /// — to `enc`. Must be called at a quiescent instant (after
-    /// `try_run_until` returned). The byte stream is identical to what
-    /// [`crate::ParallelBus`] produces for the same simulation state, so
-    /// snapshots restore across execution modes.
+    /// telemetry history) then the routers' canonical merged
+    /// measurement state — to `enc`. Must be called at a quiescent
+    /// instant (after `try_run_until` returned). The bytes do not
+    /// depend on the shard count, so snapshots restore at any other.
     pub(crate) fn persist_state(&self, enc: &mut ctms_sim::Enc) {
         self.h.persist_state(enc);
-        persist_router_parts(&[self.h.router()], enc);
+        persist_router_parts(&self.parts(), enc);
     }
 
     /// The canonical graph-shape signature checkpoints embed (format
-    /// v2) — see [`CtmsRouter::topology_signature`].
+    /// v2) — see [`CtmsRouter::topology_signature`]. Every shard's
+    /// router holds the complete slot table, so shard 0 signs for the
+    /// whole topology.
     pub(crate) fn topology_signature(&self) -> Vec<u8> {
-        self.h.router().topology_signature()
+        self.h.shard_router(0).topology_signature()
     }
 
-    /// Applies state persisted by [`Bus::persist_state`] (or the
-    /// sharded equivalent) onto this freshly rebuilt bus.
+    /// Applies state persisted by [`Bus::persist_state`] onto this
+    /// freshly rebuilt bus.
     pub(crate) fn restore_state(
         &mut self,
         dec: &mut ctms_sim::Dec<'_>,
@@ -1097,7 +1163,7 @@ impl Bus {
         w: &mut ctms_sim::ChunkedWriter<'_>,
     ) -> Result<(), ctms_sim::PersistError> {
         self.h.persist_state_chunked(w)?;
-        persist_router_parts(&[self.h.router()], w.enc());
+        persist_router_parts(&self.parts(), w.enc());
         w.flush_chunk()
     }
 
@@ -1121,12 +1187,19 @@ impl Bus {
         self.apply_router_ckpt(ckpt)
     }
 
-    /// Applies a decoded router snapshot onto this bus's single router
-    /// part — shared by the monolithic and streamed restore paths.
+    /// Distributes a decoded router snapshot across the router parts —
+    /// shared by the monolithic and streamed restore paths: each TAP to
+    /// its ring's owner part, each host's truth logs to the host's owner
+    /// part, flat event lists and the bridge-drop count to shard 0
+    /// (merged telemetry reads only counts and sorted times, so the
+    /// placement of historical entries is unobservable).
     fn apply_router_ckpt(&mut self, ckpt: RouterCkpt) -> Result<(), ctms_sim::PersistError> {
-        let r = self.h.router_mut();
-        r.clear_measurements();
-        let ring_slots = r.ring_slot_indices();
+        // A prefix still open restarts from the restored state.
+        self.prefix_start = None;
+        for k in 0..self.h.shard_count() {
+            self.h.shard_router_mut(k).clear_measurements();
+        }
+        let ring_slots = self.h.shard_router(0).ring_slot_indices();
         if ring_slots.len() != ckpt.taps.len() {
             return Err(ctms_sim::PersistError::mismatch(format!(
                 "checkpoint has {} taps, topology has {} rings",
@@ -1135,28 +1208,27 @@ impl Bus {
             )));
         }
         for (slot, tap) in ring_slots.into_iter().zip(ckpt.taps) {
-            r.set_tap(slot, tap);
+            let owner = self.h.shard_of(NodeId(slot));
+            self.h.shard_router_mut(owner).taps[slot] = Some(tap);
         }
-        if r.truth_hosts() != ckpt.truth.len() {
+        if self.host_nodes.len() != ckpt.truth.len() {
             return Err(ctms_sim::PersistError::mismatch(format!(
                 "checkpoint has {} truth maps, topology has {} hosts",
                 ckpt.truth.len(),
-                r.truth_hosts()
+                self.host_nodes.len()
             )));
         }
         for (host, entries) in ckpt.truth.into_iter().enumerate() {
-            for (point, log) in entries {
-                r.insert_truth(host, point, log);
-            }
+            let owner = self.h.shard_of(self.host_nodes[host]);
+            self.h.shard_router_mut(owner).m.truth[host].extend(entries);
         }
-        r.apply_flat(
-            ckpt.drops,
-            ckpt.presented,
-            ckpt.sock_delivered,
-            ckpt.purge_starts,
-            ckpt.lost_to_purge,
-            ckpt.bridge_drops,
-        );
+        let m = &mut self.h.shard_router_mut(0).m;
+        m.drops = ckpt.drops;
+        m.presented = ckpt.presented;
+        m.sock_delivered = ckpt.sock_delivered;
+        m.purge_starts = ckpt.purge_starts;
+        m.lost_to_purge = ckpt.lost_to_purge;
+        m.bridge_drops = ckpt.bridge_drops;
         Ok(())
     }
 }
@@ -1164,9 +1236,9 @@ impl Bus {
 // --- Checkpoint plumbing -------------------------------------------------
 //
 // A checkpoint must be *shard-agnostic*: bytes written by a 4-shard run
-// restore into a single-threaded bus or a 2-shard one. The harness side
-// already walks nodes in global registration order on both engines; the
-// router side is handled here by merging the per-shard parts into one
+// restore into a one-shard bus or a 2-shard one. The harness side
+// already walks nodes in global registration order at any shard count;
+// the router side is handled here by merging the per-shard parts into one
 // canonical stream at persist time and re-distributing at restore time
 // (taps to the ring's owner, truth logs to the host's owner, flat lists
 // to shard 0 — merged telemetry is order-insensitive by construction).
@@ -1302,29 +1374,29 @@ fn restore_drop_site(dec: &mut ctms_sim::Dec<'_>) -> Result<DropSite, ctms_sim::
 }
 
 /// Decoded router-side checkpoint state, ready to distribute onto one
-/// router (single-threaded) or across shard routers (the caller knows
+/// router (one shard) or across shard routers (the caller knows
 /// the ownership map; this struct is execution-mode-agnostic).
-pub(crate) struct RouterCkpt {
+struct RouterCkpt {
     /// One TAP per ring slot, in slot order.
-    pub(crate) taps: Vec<Tap>,
+    taps: Vec<Tap>,
     /// Per-host truth logs, points in canonical tag order.
-    pub(crate) truth: Vec<Vec<(MeasurePoint, EdgeLog)>>,
-    pub(crate) drops: Vec<DropRec>,
-    pub(crate) presented: Vec<(SimTime, u64, u32)>,
-    pub(crate) sock_delivered: Vec<(SimTime, Port, u32)>,
-    pub(crate) purge_starts: Vec<SimTime>,
-    pub(crate) lost_to_purge: Vec<(SimTime, u64)>,
-    pub(crate) bridge_drops: u64,
+    truth: Vec<Vec<(MeasurePoint, EdgeLog)>>,
+    drops: Vec<DropRec>,
+    presented: Vec<(SimTime, u64, u32)>,
+    sock_delivered: Vec<(SimTime, Port, u32)>,
+    purge_starts: Vec<SimTime>,
+    lost_to_purge: Vec<(SimTime, u64)>,
+    bridge_drops: u64,
 }
 
 /// Appends the canonical merged router state of `parts` (one part per
-/// shard; a single part for a single-threaded run) to `enc`. Each TAP
+/// shard; a single part for a one-shard run) to `enc`. Each TAP
 /// and each host's truth logs live in exactly one part; flat event
 /// lists are chronological within each part and are merged by a stable
 /// sort on time, so the bytes do not depend on the shard count beyond
 /// same-instant tie order — which nothing downstream observes (merged
 /// telemetry uses only counts and the sorted time multiset).
-pub(crate) fn persist_router_parts(parts: &[&CtmsRouter], enc: &mut ctms_sim::Enc) {
+fn persist_router_parts(parts: &[&CtmsRouter], enc: &mut ctms_sim::Enc) {
     use ctms_sim::Persist as _;
     let first = parts.first().expect("at least one router part");
 
@@ -1413,9 +1485,7 @@ pub(crate) fn persist_router_parts(parts: &[&CtmsRouter], enc: &mut ctms_sim::En
 }
 
 /// Decodes router state written by [`persist_router_parts`].
-pub(crate) fn decode_router_state(
-    dec: &mut ctms_sim::Dec<'_>,
-) -> Result<RouterCkpt, ctms_sim::PersistError> {
+fn decode_router_state(dec: &mut ctms_sim::Dec<'_>) -> Result<RouterCkpt, ctms_sim::PersistError> {
     use ctms_sim::Persist as _;
     let taps = dec.seq(|d| {
         let mut tap = Tap::new(TapCfg::default());
@@ -1458,7 +1528,7 @@ pub(crate) fn decode_router_state(
 
 impl CtmsRouter {
     /// Indices of the ring slots, in slot (= NodeId) order.
-    pub(crate) fn ring_slot_indices(&self) -> Vec<usize> {
+    fn ring_slot_indices(&self) -> Vec<usize> {
         self.slots
             .iter()
             .enumerate()
@@ -1467,32 +1537,9 @@ impl CtmsRouter {
             .collect()
     }
 
-    /// True when this part owns the TAP for `slot` (always true on the
-    /// single-threaded router; the owner shard only, when sharded).
-    pub(crate) fn owns_tap(&self, slot: usize) -> bool {
-        self.taps[slot].is_some()
-    }
-
-    /// Replaces the TAP at `slot` with a restored one (the slot must
-    /// already be owned here — ownership is structural, state is not).
-    pub(crate) fn set_tap(&mut self, slot: usize, tap: Tap) {
-        debug_assert!(self.taps[slot].is_some(), "restoring a tap this part owns");
-        self.taps[slot] = Some(tap);
-    }
-
-    /// Number of per-host truth maps.
-    pub(crate) fn truth_hosts(&self) -> usize {
-        self.m.truth.len()
-    }
-
-    /// Installs one restored truth log.
-    pub(crate) fn insert_truth(&mut self, host: usize, point: MeasurePoint, log: EdgeLog) {
-        self.m.truth[host].insert(point, log);
-    }
-
     /// Clears all recorded measurements ahead of a checkpoint apply.
     /// TAPs are not touched: owned slots are overwritten by the apply.
-    pub(crate) fn clear_measurements(&mut self) {
+    fn clear_measurements(&mut self) {
         for map in &mut self.m.truth {
             map.clear();
         }
@@ -1504,33 +1551,13 @@ impl CtmsRouter {
         self.m.bridge_drops = 0;
     }
 
-    /// Installs the restored flat event lists (on the single router, or
-    /// on shard 0 of a sharded run — merged telemetry only reads counts
-    /// and sorted times, so placement is unobservable).
-    pub(crate) fn apply_flat(
-        &mut self,
-        drops: Vec<DropRec>,
-        presented: Vec<(SimTime, u64, u32)>,
-        sock_delivered: Vec<(SimTime, Port, u32)>,
-        purge_starts: Vec<SimTime>,
-        lost_to_purge: Vec<(SimTime, u64)>,
-        bridge_drops: u64,
-    ) {
-        self.m.drops = drops;
-        self.m.presented = presented;
-        self.m.sock_delivered = sock_delivered;
-        self.m.purge_starts = purge_starts;
-        self.m.lost_to_purge = lost_to_purge;
-        self.m.bridge_drops = bridge_drops;
-    }
-
     /// A canonical byte description of the wiring graph — slot kinds,
     /// endpoint stations, bridge port rings — independent of shard
     /// count (every shard router holds the complete slot table);
     /// endpoints are encoded in station order. Embedded in
     /// checkpoints since format v2 so a snapshot refuses to restore
     /// onto a differently-shaped topology instead of corrupting state.
-    pub(crate) fn topology_signature(&self) -> Vec<u8> {
+    fn topology_signature(&self) -> Vec<u8> {
         let mut enc = ctms_sim::Enc::new();
         enc.seq_len(self.slots.len());
         for slot in self.slots.iter() {

@@ -1,10 +1,10 @@
-//! The scheduler / event bus: the "motherboard" pattern as reusable
-//! infrastructure.
+//! The vocabulary of the scheduler / event bus: node handles, the
+//! command sink, the [`Router`] trait and the typed [`CascadeError`].
 //!
 //! Historically every testbed in `ctms-core` hand-wrote the same loop:
 //! poll each component for its next deadline, advance whichever is due,
 //! and route the emitted events between components with a cascade guard.
-//! [`Harness`] owns that loop once:
+//! [`crate::shard::Harness`] owns that loop once:
 //!
 //! * components register into a [`NodeId`]-addressable registry,
 //! * a central deadline scheduler (an indexed d-ary min-heap keyed by
@@ -35,21 +35,19 @@
 //!
 //! `cargo test -p ctms-sim --features alloc-count --test zero_alloc`
 //! proves the claim with a counting global allocator.
-
-//! The harness also owns the run's [`telemetry::Registry`]: every node
-//! (and the router) registers its statistics under a dotted namespace
-//! on demand via [`Harness::collect_telemetry`], phases can be frozen
-//! with [`Harness::snapshot_phase`], and a tripped cascade guard leaves
-//! a diagnosable trail — an edge-signal event plus a final
-//! `cascade-failure` snapshot — instead of only an error value.
+//!
+//! The harness also owns the run's [`Registry`]: every node (and the
+//! router) registers its statistics under a dotted namespace on demand
+//! via [`crate::shard::Harness::collect_telemetry`], phases can be
+//! frozen with [`crate::shard::Harness::snapshot_phase`], and a tripped
+//! cascade guard leaves a diagnosable trail — an edge-signal event plus
+//! a final `cascade-failure` snapshot — instead of only an error value.
 
 use crate::engine::Component;
-use crate::heap::IndexedHeap;
-use crate::persist::{ChunkedReader, ChunkedWriter, Dec, Enc, Persist, PersistError};
 use crate::telemetry::Registry;
 use crate::time::SimTime;
 
-/// Registry handle of a node in a [`Harness`]; assigned densely in
+/// Registry handle of a node in a [`crate::shard::Harness`]; assigned densely in
 /// registration order, which is also the service order on deadline ties.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
@@ -105,8 +103,7 @@ impl<Cmd> CmdSink<Cmd> {
     }
 
     /// Drains the queued `(dst, cmd)` pairs in push order, retaining
-    /// capacity. Schedulers built on top of the harness machinery (the
-    /// sharded engine) consume routed commands through this.
+    /// capacity; the harness consumes routed commands through this.
     pub fn drain(&mut self) -> std::vec::Drain<'_, (NodeId, Cmd)> {
         self.buf.drain(..)
     }
@@ -147,10 +144,30 @@ pub trait Router<C: Component> {
     }
 
     /// Registers the router's own statistics (absorbed measurement
-    /// traffic, wiring-level counters) into the telemetry tree. Called by
-    /// [`Harness::collect_telemetry`] after every node has published.
+    /// traffic, wiring-level counters) into the telemetry tree.
     fn publish_telemetry(&self, reg: &mut Registry) {
         let _ = reg;
+    }
+
+    /// Publishes the merged view of one router per shard — `parts[k]`
+    /// is shard `k`'s router — into `reg`. Called by
+    /// [`crate::shard::Harness::collect_telemetry`] after every node has
+    /// published. Absorbed state (measurement taps, counters, logs)
+    /// lands in the router of whichever shard routed it, so a router
+    /// used on a sharded harness overrides this to reproduce the
+    /// byte-exact tree [`Router::publish_telemetry`] gives on a one-shard
+    /// run; the golden-digest tests hold it to that. The default
+    /// handles exactly one part.
+    fn publish_merged(parts: &[&Self], reg: &mut Registry)
+    where
+        Self: Sized,
+    {
+        assert_eq!(
+            parts.len(),
+            1,
+            "this router does not merge shard parts; override Router::publish_merged"
+        );
+        parts[0].publish_telemetry(reg);
     }
 }
 
@@ -263,516 +280,13 @@ impl std::fmt::Display for CascadeError {
 
 impl std::error::Error for CascadeError {}
 
-/// The generic scheduler/event-bus. See the module docs.
-pub struct Harness<C: Component, R: Router<C>> {
-    nodes: Vec<C>,
-    labels: Vec<String>,
-    router: R,
-    now: SimTime,
-    /// One entry per node with a deadline, keyed `(deadline, node)`.
-    heap: IndexedHeap,
-    limit: u32,
-    failed: Option<CascadeError>,
-    dirty: Vec<usize>,
-    telemetry: Registry,
-    /// Component activations (advances + delivered commands) so far.
-    events: u64,
-    // Reusable hot-path buffers: drained every step, capacity retained,
-    // so steady-state stepping performs no heap allocation.
-    due: Vec<usize>,
-    touched: Vec<usize>,
-    wave: Vec<(NodeId, C::Out)>,
-    next_wave: Vec<(NodeId, C::Out)>,
-    out_buf: Vec<C::Out>,
-    cmds: CmdSink<C::Cmd>,
-    batch: Vec<C::Out>,
-    /// Per-node visit stamps for O(1) dedup in `reschedule_touched`
-    /// (node k was visited iff `stamp[k] == epoch`).
-    stamp: Vec<u64>,
-    epoch: u64,
-}
-
 /// Default same-instant cascade step limit.
 pub const DEFAULT_CASCADE_LIMIT: u32 = 100_000;
-
-impl<C: Component, R: Router<C>> Harness<C, R> {
-    /// Creates an empty harness around `router` with the given
-    /// same-instant cascade step limit, on the production (indexed,
-    /// zero-allocation) scheduler.
-    pub fn new(router: R, cascade_limit: u32) -> Self {
-        assert!(cascade_limit > 0, "cascade limit must be positive");
-        Harness {
-            nodes: Vec::new(),
-            labels: Vec::new(),
-            router,
-            now: SimTime::ZERO,
-            heap: IndexedHeap::new(),
-            limit: cascade_limit,
-            failed: None,
-            dirty: Vec::new(),
-            telemetry: Registry::new(),
-            events: 0,
-            due: Vec::new(),
-            touched: Vec::new(),
-            wave: Vec::new(),
-            next_wave: Vec::new(),
-            out_buf: Vec::new(),
-            cmds: CmdSink::new(),
-            batch: Vec::new(),
-            stamp: Vec::new(),
-            epoch: 0,
-        }
-    }
-
-    /// Registers a node and schedules its current deadline. The node's
-    /// telemetry namespace defaults to `node{k}`; use
-    /// [`Harness::add_node_labeled`] to mount it elsewhere.
-    pub fn add_node(&mut self, node: C) -> NodeId {
-        let label = format!("node{}", self.nodes.len());
-        self.add_node_labeled(node, label)
-    }
-
-    /// Registers a node under an explicit dotted telemetry namespace
-    /// (e.g. `tokenring.ring0`, `unixkern.h1`).
-    pub fn add_node_labeled(&mut self, node: C, label: impl Into<String>) -> NodeId {
-        let id = NodeId(self.nodes.len());
-        self.nodes.push(node);
-        self.labels.push(label.into());
-        self.stamp.push(0);
-        self.reschedule(id.0);
-        id
-    }
-
-    /// Number of registered nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when no nodes are registered.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Current simulation time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Component activations (deadline advances plus delivered commands)
-    /// serviced so far — the numerator of the `perf` harness's
-    /// events/sec figure. Not published as telemetry (the metric tree is
-    /// pinned by golden digests); purely a scheduler-throughput counter.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// Shared access to a node.
-    pub fn node(&self, id: NodeId) -> &C {
-        &self.nodes[id.0]
-    }
-
-    /// Mutable access to a node. The node is conservatively rescheduled
-    /// before the next step, since the caller may change its deadline.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut C {
-        self.dirty.push(id.0);
-        &mut self.nodes[id.0]
-    }
-
-    /// Shared access to the router.
-    pub fn router(&self) -> &R {
-        &self.router
-    }
-
-    /// Mutable access to the router.
-    pub fn router_mut(&mut self) -> &mut R {
-        &mut self.router
-    }
-
-    /// The error that poisoned this harness, if a cascade overflowed.
-    pub fn failure(&self) -> Option<CascadeError> {
-        self.failed
-    }
-
-    /// The run's telemetry registry as last collected (events and phase
-    /// snapshots accumulate live; metrics are rebuilt by
-    /// [`Harness::collect_telemetry`]).
-    pub fn telemetry(&self) -> &Registry {
-        &self.telemetry
-    }
-
-    /// Rebuilds the metric tree by pulling every node's instruments
-    /// (each under its registration label), the router's, and the
-    /// harness's own `sim.*` metrics, then returns the registry for
-    /// further additions or serialization. Deterministic: nodes publish
-    /// in registration order into a path-ordered tree.
-    pub fn collect_telemetry(&mut self) -> &mut Registry {
-        self.telemetry.clear_metrics();
-        for (k, node) in self.nodes.iter().enumerate() {
-            let mut scope = self.telemetry.scope(&self.labels[k]);
-            node.publish_telemetry(&mut scope);
-        }
-        self.router.publish_telemetry(&mut self.telemetry);
-        let mut sim = self.telemetry.scope("sim");
-        sim.gauge("now_ns", self.now.as_ns() as i64);
-        sim.counter("nodes", self.nodes.len() as u64);
-        sim.counter("cascade.overflows", u64::from(self.failed.is_some()));
-        &mut self.telemetry
-    }
-
-    /// Collects the current metric tree and freezes it as a named phase
-    /// snapshot (serialized with the registry).
-    pub fn snapshot_phase(&mut self, name: impl Into<String>) {
-        self.collect_telemetry();
-        self.telemetry.snapshot_phase(name);
-    }
-
-    /// Collects and serializes the registry as canonical JSON.
-    pub fn telemetry_json(&mut self) -> String {
-        self.collect_telemetry();
-        self.telemetry.to_json()
-    }
-
-    /// Records the diagnosable trail of a cascade overflow: an
-    /// edge-signal event at the failing instant plus a final
-    /// `cascade-failure` phase snapshot of every metric. A blown run
-    /// thus leaves the state the §5.2.1 operators would have examined,
-    /// not just an error value.
-    fn record_failure(&mut self, err: CascadeError) {
-        self.telemetry
-            .event(err.at(), "sim.cascade.overflow", err.event_detail());
-        self.snapshot_phase("cascade-failure");
-    }
-
-    /// Delivers `cmd` to `id` at the current instant and routes the
-    /// resulting cascade, exactly as if the command had been produced by
-    /// the router mid-run.
-    pub fn inject(&mut self, id: NodeId, cmd: C::Cmd) -> Result<(), CascadeError> {
-        if let Some(e) = self.failed {
-            return Err(e);
-        }
-        let now = self.now;
-        debug_assert!(self.out_buf.is_empty() && self.wave.is_empty());
-        self.events += 1;
-        self.nodes[id.0].handle(now, cmd, &mut self.out_buf);
-        while let Some(e) = self.out_buf.pop() {
-            self.wave.push((id, e));
-        }
-        self.wave.reverse();
-        self.touched.clear();
-        self.touched.push(id.0);
-        let result = self.cascade(now);
-        self.reschedule_touched();
-        result
-    }
-
-    /// Runs until no node has a deadline at or before `horizon`, then
-    /// leaves the clock at `horizon`. Returns a [`CascadeError`] (and
-    /// poisons the harness) if a same-instant cascade never converges;
-    /// the simulation state up to the failing instant remains readable.
-    pub fn try_run_until(&mut self, horizon: SimTime) -> Result<(), CascadeError> {
-        if let Some(e) = self.failed {
-            return Err(e);
-        }
-        self.flush_dirty();
-        while let Some(t) = self.peek_deadline() {
-            if t > horizon {
-                break;
-            }
-            debug_assert!(t >= self.now, "time went backwards");
-            self.now = t;
-            self.pop_due(t);
-            self.touched.clear();
-            self.touched.extend_from_slice(&self.due);
-            debug_assert!(self.wave.is_empty() && self.out_buf.is_empty());
-            for i in 0..self.due.len() {
-                let n = self.due[i];
-                self.events += 1;
-                self.nodes[n].advance(t, &mut self.out_buf);
-                for e in self.out_buf.drain(..) {
-                    self.wave.push((NodeId(n), e));
-                }
-            }
-            let result = self.cascade(t);
-            self.reschedule_touched();
-            result?;
-        }
-        if self.now < horizon {
-            self.now = horizon;
-        }
-        Ok(())
-    }
-
-    /// Like [`Harness::try_run_until`] but panics on cascade overflow
-    /// (for callers that treat it as the bug it is).
-    pub fn run_until(&mut self, horizon: SimTime) {
-        if let Err(e) = self.try_run_until(horizon) {
-            panic!("{e}");
-        }
-    }
-
-    /// Appends the harness's dynamic state — clock, event counter, every
-    /// node in registration order, and the telemetry event/phase history
-    /// — to `enc`. The scheduler heap is *not* encoded: it is a pure
-    /// function of node deadlines and is rebuilt on restore. The router
-    /// is also not encoded; the topology layer that owns its concrete
-    /// type persists it alongside this call.
-    ///
-    /// Must be called at a quiescent instant (after `try_run_until`
-    /// returned), when every scratch buffer is drained.
-    pub fn persist_state(&self, enc: &mut Enc)
-    where
-        C: Persist,
-    {
-        debug_assert!(self.wave.is_empty() && self.out_buf.is_empty());
-        enc.time(self.now);
-        enc.u64(self.events);
-        enc.seq_len(self.nodes.len());
-        for node in &self.nodes {
-            node.persist(enc);
-        }
-        self.telemetry.persist(enc);
-    }
-
-    /// Applies state persisted by [`Harness::persist_state`] onto this
-    /// freshly rebuilt harness (same topology, same registration order).
-    /// Every node is conservatively marked dirty so the scheduler re-keys
-    /// it from its restored deadline before the next step.
-    pub fn restore_state(&mut self, dec: &mut Dec<'_>) -> Result<(), PersistError>
-    where
-        C: Persist,
-    {
-        if let Some(e) = self.failed {
-            return Err(PersistError::mismatch(format!(
-                "cannot restore into a poisoned harness: {e}"
-            )));
-        }
-        let now = dec.time()?;
-        let events = dec.u64()?;
-        let n = dec.seq_len()?;
-        if n != self.nodes.len() {
-            return Err(PersistError::mismatch(format!(
-                "checkpoint has {n} nodes, rebuilt harness has {}",
-                self.nodes.len()
-            )));
-        }
-        for i in 0..self.nodes.len() {
-            self.nodes[i].restore(dec)?;
-            self.dirty.push(i);
-        }
-        self.telemetry.restore(dec)?;
-        self.now = now;
-        self.events = events;
-        Ok(())
-    }
-
-    /// [`Harness::persist_state`] through a bounded chunk buffer: the
-    /// identical bytes, streamed node by node so the whole snapshot is
-    /// never materialized. Framing contract (relied on by
-    /// `restore_state_chunked`): the prefix (clock, event counter, node
-    /// count — plus whatever header the caller already buffered) ends a
-    /// chunk; nodes then pack greedily, each chunk holding whole nodes;
-    /// the telemetry block is flushed as its own chunk.
-    pub fn persist_state_chunked(&self, w: &mut ChunkedWriter<'_>) -> Result<(), PersistError>
-    where
-        C: Persist,
-    {
-        debug_assert!(self.wave.is_empty() && self.out_buf.is_empty());
-        let enc = w.enc();
-        enc.time(self.now);
-        enc.u64(self.events);
-        enc.seq_len(self.nodes.len());
-        w.flush_chunk()?;
-        for node in &self.nodes {
-            node.persist(w.enc());
-            w.unit()?;
-        }
-        w.flush_chunk()?;
-        self.telemetry.persist(w.enc());
-        w.flush_chunk()?;
-        Ok(())
-    }
-
-    /// Applies a stream written by [`Harness::persist_state_chunked`].
-    /// `prefix` is the tail of the first chunk, positioned after the
-    /// caller's header at the clock field; node and telemetry chunks
-    /// are pulled from `r` through the scratch buffer `buf`.
-    pub fn restore_state_chunked(
-        &mut self,
-        prefix: &mut Dec<'_>,
-        r: &mut ChunkedReader<'_>,
-        buf: &mut Vec<u8>,
-    ) -> Result<(), PersistError>
-    where
-        C: Persist,
-    {
-        if let Some(e) = self.failed {
-            return Err(PersistError::mismatch(format!(
-                "cannot restore into a poisoned harness: {e}"
-            )));
-        }
-        let now = prefix.time()?;
-        let events = prefix.u64()?;
-        // A bare u32, not `seq_len`: the node payloads live in later
-        // chunks, so the remaining-bytes bound would misfire.
-        let n = prefix.u32()? as usize;
-        if n != self.nodes.len() {
-            return Err(PersistError::mismatch(format!(
-                "checkpoint has {n} nodes, rebuilt harness has {}",
-                self.nodes.len()
-            )));
-        }
-        if prefix.remaining() != 0 {
-            return Err(PersistError::mismatch(
-                "streamed checkpoint prefix chunk does not end at the node-count field",
-            ));
-        }
-        let mut i = 0;
-        while i < n {
-            if !r.next_chunk_into(buf)? {
-                return Err(PersistError::UnexpectedEof);
-            }
-            let mut dec = Dec::new(buf);
-            while i < n && dec.remaining() > 0 {
-                self.nodes[i].restore(&mut dec)?;
-                self.dirty.push(i);
-                i += 1;
-            }
-            // A chunk boundary inside a node would have failed the
-            // restore above; leftover bytes after the last node mean
-            // the telemetry block did not start its own chunk.
-            dec.finish()?;
-        }
-        if !r.next_chunk_into(buf)? {
-            return Err(PersistError::UnexpectedEof);
-        }
-        let mut dec = Dec::new(buf);
-        self.telemetry.restore(&mut dec)?;
-        dec.finish()?;
-        self.now = now;
-        self.events = events;
-        Ok(())
-    }
-
-    /// Re-syncs the scheduler entry of every node recorded in `touched`,
-    /// deduplicated by epoch stamp in O(len) — no sort, no allocation.
-    /// First-touch order is fine: the indexed heap's update-key is
-    /// order-independent.
-    fn reschedule_touched(&mut self) {
-        self.epoch += 1;
-        let epoch = self.epoch;
-        for i in 0..self.touched.len() {
-            let n = self.touched[i];
-            if self.stamp[n] != epoch {
-                self.stamp[n] = epoch;
-                self.reschedule(n);
-            }
-        }
-        self.touched.clear();
-    }
-
-    /// Syncs the scheduler with the node's current deadline: an
-    /// in-place update-key on the indexed heap.
-    fn reschedule(&mut self, node: usize) {
-        let at = self.nodes[node].next_deadline();
-        self.heap.set(node, at);
-    }
-
-    fn flush_dirty(&mut self) {
-        while let Some(n) = self.dirty.pop() {
-            self.reschedule(n);
-        }
-    }
-
-    /// The earliest scheduled deadline; the heap's root is always
-    /// current.
-    fn peek_deadline(&mut self) -> Option<SimTime> {
-        let (at, node) = self.heap.peek()?;
-        debug_assert_eq!(
-            self.nodes[node].next_deadline(),
-            Some(at),
-            "indexed heap out of sync with node {node}"
-        );
-        Some(at)
-    }
-
-    /// Fills `self.due` with every node scheduled at exactly `t`, in
-    /// NodeId order (the heap yields ties in that order).
-    fn pop_due(&mut self, t: SimTime) {
-        self.due.clear();
-        while let Some((at, node)) = self.heap.peek() {
-            if at > t {
-                break;
-            }
-            self.heap.pop();
-            self.due.push(node);
-        }
-    }
-
-    /// Routes `self.wave` breadth-first at `now` until it drains,
-    /// recording every commanded node in `self.touched`. Each iteration
-    /// of the outer loop is one guard step, matching the wave accounting
-    /// of the old per-testbed loops.
-    fn cascade(&mut self, now: SimTime) -> Result<(), CascadeError> {
-        let mut steps = 0u32;
-        while !self.wave.is_empty() {
-            steps += 1;
-            if steps > self.limit {
-                let err = CascadeError::overflow(now, self.wave[0].0, steps);
-                self.failed = Some(err);
-                self.wave.clear();
-                self.next_wave.clear();
-                self.cmds.clear();
-                self.record_failure(err);
-                return Err(err);
-            }
-            // Drain the wave in runs of consecutive same-source events,
-            // entering the router once per run. Routing order and
-            // delivery order are exactly the per-event loop's (the
-            // router never reads node state and commands drain in push
-            // order), so batching is bit-identical — only cheaper.
-            let mut wave = std::mem::take(&mut self.wave);
-            let mut iter = wave.drain(..).peekable();
-            while let Some((src, event)) = iter.next() {
-                debug_assert!(self.cmds.is_empty());
-                match iter.peek() {
-                    Some((s, _)) if *s == src => {
-                        debug_assert!(self.batch.is_empty());
-                        self.batch.push(event);
-                        while let Some((s, _)) = iter.peek() {
-                            if *s != src {
-                                break;
-                            }
-                            let (_, e) = iter.next().expect("peeked entry");
-                            self.batch.push(e);
-                        }
-                        self.router
-                            .route_all(now, src, &mut self.batch, &mut self.cmds);
-                        self.batch.clear();
-                    }
-                    // Singleton run — the common case on sparse
-                    // workloads — skips the batch buffer entirely.
-                    _ => self.router.route(now, src, event, &mut self.cmds),
-                }
-                for (dst, cmd) in self.cmds.buf.drain(..) {
-                    self.events += 1;
-                    self.nodes[dst.0].handle(now, cmd, &mut self.out_buf);
-                    self.touched.push(dst.0);
-                    for e in self.out_buf.drain(..) {
-                        self.next_wave.push((dst, e));
-                    }
-                }
-            }
-            drop(iter);
-            self.wave = wave;
-            std::mem::swap(&mut self.wave, &mut self.next_wave);
-        }
-        Ok(())
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::Harness;
     use crate::time::Dur;
 
     /// A ticker that fires at a fixed period, logging (time, id) into a
@@ -839,7 +353,7 @@ mod tests {
         let a = h.add_node(ticker(0, 10, 4));
         let b = h.add_node(ticker(1, 10, 4));
         h.run_until(SimTime::from_ms(100));
-        let seen = &h.router().seen;
+        let seen = &h.shard_router(0).seen;
         assert_eq!(seen.len(), 12);
         for (k, chunk) in seen.chunks(3).enumerate() {
             let t = SimTime::from_ms(10 * (k as u64 + 1));
@@ -853,7 +367,7 @@ mod tests {
         let a = h.add_node(ticker(0, 7, 3));
         h.run_until(SimTime::from_secs(1));
         assert_eq!(
-            h.router().seen,
+            h.shard_router(0).seen,
             vec![
                 (SimTime::from_ms(7), a),
                 (SimTime::from_ms(14), a),
@@ -868,11 +382,11 @@ mod tests {
         let mut h = Harness::new(Recorder { seen: Vec::new() }, 100);
         let a = h.add_node(ticker(0, 5, 1));
         h.run_until(SimTime::from_ms(100));
-        assert_eq!(h.router().seen.len(), 1);
+        assert_eq!(h.shard_router(0).seen.len(), 1);
         h.inject(a, 2).unwrap();
         h.run_until(SimTime::from_ms(200));
-        assert_eq!(h.router().seen.len(), 3);
-        assert_eq!(h.router().seen[2].0, SimTime::from_ms(110));
+        assert_eq!(h.shard_router(0).seen.len(), 3);
+        assert_eq!(h.shard_router(0).seen[2].0, SimTime::from_ms(110));
     }
 
     #[test]
@@ -881,12 +395,12 @@ mod tests {
         let a = h.add_node(ticker(0, 5, 1));
         // One fire at 5 ms, then the node goes idle (no deadline).
         h.run_until(SimTime::from_ms(20));
-        let before = h.router().seen.len();
+        let before = h.shard_router(0).seen.len();
         assert_eq!(before, 1);
         h.node_mut(a).remaining = 2;
         h.node_mut(a).next = Some(SimTime::from_ms(25));
         h.run_until(SimTime::from_ms(40));
-        assert_eq!(h.router().seen.len(), before + 2);
+        assert_eq!(h.shard_router(0).seen.len(), before + 2);
     }
 
     #[test]
@@ -902,7 +416,7 @@ mod tests {
         h.node_mut(a).next = Some(SimTime::from_ms(10));
         h.node_mut(b).next = Some(SimTime::from_ms(90));
         h.run_until(SimTime::from_ms(200));
-        let seen = &h.router().seen;
+        let seen = &h.shard_router(0).seen;
         assert_eq!(
             seen,
             &vec![

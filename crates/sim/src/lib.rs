@@ -10,17 +10,17 @@
 //! * [`time`] — nanosecond-resolution simulation clock types,
 //! * [`rng`] — deterministic, stream-splittable random numbers,
 //! * [`engine`] — the [`engine::Component`] state-machine protocol,
-//! * [`bus`] — the generic scheduler/event-bus ([`bus::Harness`]): a
-//!   [`bus::NodeId`]-addressable registry, a central deadline scheduler
-//!   with deterministic tie-breaking, and typed routing via [`bus::Router`],
+//! * [`bus`] — the scheduler's vocabulary: [`bus::NodeId`] handles,
+//!   the [`bus::CmdSink`], typed routing via [`bus::Router`] and the
+//!   typed [`bus::CascadeError`],
 //! * [`heap`] — the indexed d-ary min-heap behind the scheduler
 //!   (update-key per node, no stale entries, allocation-free stepping),
-//! * [`shard`] — the conservative parallel scheduler
-//!   ([`shard::ShardedHarness`]): per-shard deadline heaps on the sweep
-//!   pool, bounded-time-window synchronization with per-shard windows
-//!   derived from each shard's incident cut-edge lookaheads, and
-//!   deterministic cross-shard mailboxes — bit-identical to the
-//!   single-threaded harness by construction,
+//! * [`shard`] — the one scheduler ([`shard::Harness`]): a registry of
+//!   nodes partitioned into shards with deterministic tie-breaking. One
+//!   shard runs a plain deadline loop; several run on the sweep pool in
+//!   bounded time windows derived from each shard's incident cut-edge
+//!   lookaheads, with deterministic cross-shard mailboxes — bit-identical
+//!   to one shard by construction,
 //! * [`synth`] — synthetic allocation-free workloads for the perf
 //!   harness and the zero-allocation steady-state test,
 //! * [`persist`] — canonical binary state serialization ([`persist::Persist`])
@@ -46,7 +46,7 @@ pub mod telemetry;
 pub mod time;
 pub mod trace;
 
-pub use bus::{CascadeError, CmdSink, Harness, NodeId, Router, DEFAULT_CASCADE_LIMIT};
+pub use bus::{CascadeError, CmdSink, NodeId, Router, DEFAULT_CASCADE_LIMIT};
 pub use engine::{drain_component, earliest, CascadeGuard, Component};
 pub use heap::IndexedHeap;
 pub use persist::{
@@ -54,7 +54,7 @@ pub use persist::{
     PersistError, STREAM_CHUNK,
 };
 pub use rng::{Pcg32, SplitMix64};
-pub use shard::{merge_mail, MailKey, MergeTelemetry, ShardStats, ShardedHarness};
+pub use shard::{merge_mail, Harness, MailKey, ShardStats};
 pub use sweep::{default_threads, parallel_map};
 pub use telemetry::{Instrument, Registry};
 pub use time::{Dur, SimTime};

@@ -1,11 +1,20 @@
-//! Conservative parallel execution: the sharded scheduler.
+//! The scheduler: one [`Harness`], any number of shards.
 //!
-//! [`crate::bus::Harness`] services one global deadline heap on one
-//! thread. [`ShardedHarness`] partitions the node set into **shards**
-//! (the caller supplies the partition — `ctms-core` derives one shard
-//! per block of rings) and runs each shard's indexed heap on a worker
-//! of the persistent [`crate::sweep`] pool, synchronizing with a
-//! conservative time-window protocol:
+//! A harness partitions its node set into **shards** — one for
+//! [`Harness::new`], `N` for [`Harness::sharded`] (the caller supplies
+//! the partition; `ctms-core` derives one shard per block of rings).
+//! Each shard owns an indexed deadline heap, a router and the reusable
+//! hot-path buffers described in [`crate::bus`].
+//!
+//! **One shard** is the degenerate case and runs a plain deadline loop:
+//! pop every node due at the earliest instant, advance it, route the
+//! same-instant wave. None of the parallel machinery sits on that path
+//! — no owner-table lookup, no sync heap, no global-id mapping, no
+//! window bounds, no mailboxes — which is what keeps the single-thread
+//! event rate.
+//!
+//! **Several shards** run on workers of the persistent [`crate::sweep`]
+//! pool and synchronize with a conservative time-window protocol:
 //!
 //! * A small set of nodes is declared **sync-class** at registration —
 //!   in `ctms-core` these are the bridges whose rings landed in
@@ -30,11 +39,14 @@
 //!   deterministic no matter which worker finished first), in repeated
 //!   rounds until no mail is in flight.
 //!
-//! Determinism is the contract: parallel execution may change the wall
+//! Determinism is the contract: the shard count may change the wall
 //! clock, never the answer. The `ctms-bench` `perf` binary asserts
 //! bit-identical ground truth before it times anything, and the tier-1
 //! `sharded_harness_shares_the_golden_truth` test pins byte-identical
-//! telemetry JSON against the single-threaded golden digests.
+//! telemetry JSON against the one-shard golden digests. A sharded
+//! harness can also [`Harness::collapse`] into one shard mid-run, in
+//! place, which is how `ctms-core`'s profitability gate demotes shapes
+//! where sharding does not pay.
 //!
 //! A non-sync node that emits a cross-shard command inside a window
 //! has violated the lookahead contract (the partition put tightly
@@ -42,7 +54,7 @@
 //! a typed [`CascadeError::CrossShard`] rather than silently diverging
 //! from single-threaded truth.
 
-use crate::bus::{CascadeError, CmdSink, NodeId, Router, DEFAULT_CASCADE_LIMIT};
+use crate::bus::{CascadeError, CmdSink, NodeId, Router};
 use crate::engine::Component;
 use crate::heap::IndexedHeap;
 use crate::persist::{ChunkedReader, ChunkedWriter, Dec, Enc, Persist, PersistError};
@@ -77,10 +89,9 @@ pub fn merge_mail<T>(mail: &mut [(MailKey, T)]) {
 }
 
 /// Per-shard execution counters, published under `sched.shard{k}` by
-/// [`ShardedHarness::exec_telemetry`]. Kept out of the simulation's own
-/// registry so the telemetry tree stays byte-identical to
-/// single-threaded execution (golden digests must not depend on the
-/// shard count).
+/// [`Harness::exec_telemetry`]. Kept out of the simulation's own
+/// registry so the telemetry tree stays byte-identical at every shard
+/// count (golden digests must not depend on it).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ShardStats {
     /// Windows in which this shard advanced at least one node.
@@ -111,9 +122,17 @@ enum Cross {
     Allow,
 }
 
-/// One shard: a slice of the node set with its own heap, router, and
-/// the same reusable scratch buffers as [`crate::bus::Harness`]. Moves
-/// wholesale between the coordinating thread and pool workers.
+/// One shard: a slice of the node set with its own heaps, router and
+/// reusable scratch buffers. Moves wholesale between the coordinating
+/// thread and pool workers.
+///
+/// The hot-path methods take a `ONE` const parameter: `true` on a
+/// one-shard harness, where local indices are global ids, every
+/// command is local and nothing is sync-class, so the owner table,
+/// the global-id map and the sync heap are skipped at compile time.
+/// Those tables (and the outboxes) are only built when a harness of
+/// several shards is sealed, so a one-shard harness never allocates
+/// them either.
 struct ShardState<C: Component, R> {
     idx: u32,
     /// Nodes local to this shard, in global registration order.
@@ -129,7 +148,7 @@ struct ShardState<C: Component, R> {
     /// deadline `b[k]` of [`adaptive_bounds`] comes from here.
     sync_heap: IndexedHeap,
     /// Global node id → (shard, local index), shared by every shard.
-    owner: Arc<Vec<(u32, u32)>>,
+    owner: Option<Arc<[(u32, u32)]>>,
     now: SimTime,
     limit: u32,
     failed: Option<CascadeError>,
@@ -149,7 +168,8 @@ struct ShardState<C: Component, R> {
     /// right before dispatch (a field rather than a closure capture so
     /// per-shard windows stay allocation-free).
     w_end: SimTime,
-    // Reusable hot-path buffers, exactly as in `Harness`.
+    // Reusable hot-path buffers: drained every step, capacity retained,
+    // so steady-state stepping performs no heap allocation.
     due: Vec<usize>,
     touched: Vec<usize>,
     wave: Vec<(NodeId, C::Out)>,
@@ -157,17 +177,14 @@ struct ShardState<C: Component, R> {
     out_buf: Vec<C::Out>,
     cmds: CmdSink<C::Cmd>,
     batch: Vec<C::Out>,
-    /// Per-node visit stamps for O(1) dedup in `reschedule_touched`.
+    /// Per-node visit stamps for O(1) dedup in `reschedule_touched`
+    /// (node k was visited iff `stamp[k] == epoch`).
     stamp: Vec<u64>,
     epoch: u64,
 }
 
-impl<C, R> ShardState<C, R>
-where
-    C: Component + Persist,
-    R: Router<C>,
-{
-    fn new(idx: u32, router: R, limit: u32, n_shards: usize) -> Self {
+impl<C: Component, R: Router<C>> ShardState<C, R> {
+    fn new(idx: u32, router: R, limit: u32) -> Self {
         ShardState {
             idx,
             nodes: Vec::new(),
@@ -176,14 +193,14 @@ where
             router,
             heap: IndexedHeap::new(),
             sync_heap: IndexedHeap::new(),
-            owner: Arc::new(Vec::new()),
+            owner: None,
             now: SimTime::ZERO,
             limit,
             failed: None,
             dirty: Vec::new(),
             events: 0,
             stats: ShardStats::default(),
-            outbox: (0..n_shards).map(|_| Vec::new()).collect(),
+            outbox: Vec::new(),
             inbox: Vec::new(),
             pending: Vec::new(),
             seq: 0,
@@ -200,49 +217,44 @@ where
         }
     }
 
-    fn add_node(&mut self, node: C, global: NodeId, sync: bool) -> u32 {
+    fn add_node(&mut self, node: C) -> u32 {
         let local = self.nodes.len();
         self.nodes.push(node);
-        self.global_ids.push(global);
-        self.sync_local.push(sync);
         self.stamp.push(0);
-        self.reschedule(local);
+        self.reschedule::<true>(local);
         local as u32
     }
 
-    /// True when any registered node is sync-class.
-    fn has_sync_nodes(&self) -> bool {
-        self.sync_local.iter().any(|&b| b)
-    }
-
-    /// Syncs both heaps with the node's current deadline.
-    fn reschedule(&mut self, local: usize) {
+    /// Syncs the heaps with the node's current deadline: an in-place
+    /// update-key on the indexed heap (and on the sync heap for a
+    /// sync-class node of a sharded harness).
+    fn reschedule<const ONE: bool>(&mut self, local: usize) {
         let at = self.nodes[local].next_deadline();
         self.heap.set(local, at);
-        if self.sync_local[local] {
+        if !ONE && self.sync_local[local] {
             self.sync_heap.set(local, at);
         }
     }
 
     /// Re-syncs the heaps for every node in `touched`, deduplicated by
-    /// epoch stamp in O(len) — same scheme (and same order-independence
-    /// argument) as `Harness::reschedule_touched`.
-    fn reschedule_touched(&mut self) {
+    /// epoch stamp in O(len) — no sort, no allocation. First-touch order
+    /// is fine: the indexed heap's update-key is order-independent.
+    fn reschedule_touched<const ONE: bool>(&mut self) {
         self.epoch += 1;
         let epoch = self.epoch;
         for i in 0..self.touched.len() {
             let l = self.touched[i];
             if self.stamp[l] != epoch {
                 self.stamp[l] = epoch;
-                self.reschedule(l);
+                self.reschedule::<ONE>(l);
             }
         }
         self.touched.clear();
     }
 
-    fn flush_dirty(&mut self) {
+    fn flush_dirty<const ONE: bool>(&mut self) {
         while let Some(l) = self.dirty.pop() {
-            self.reschedule(l);
+            self.reschedule::<ONE>(l);
         }
     }
 
@@ -263,30 +275,34 @@ where
     }
 
     /// Fills `due` with every local node scheduled at or before `t`, in
-    /// local (= global registration) order, keeping the sync heap
-    /// coherent.
-    fn pop_due(&mut self, t: SimTime) {
+    /// local (= global registration) order — the heap yields ties in
+    /// that order — keeping the sync heap coherent.
+    fn pop_due<const ONE: bool>(&mut self, t: SimTime) {
         self.due.clear();
         while let Some((at, l)) = self.heap.peek() {
             if at > t {
                 break;
             }
             self.heap.pop();
-            if self.sync_local[l] {
+            if !ONE && self.sync_local[l] {
                 self.sync_heap.set(l, None);
             }
             self.due.push(l);
         }
     }
 
-    /// Routes `wave` breadth-first at `now` until it drains, entering
-    /// the router in runs of consecutive same-source events (the same
-    /// batching — and the same bit-identity argument — as
-    /// `Harness::cascade`). Local commands are delivered immediately;
-    /// cross-shard commands follow the [`Cross`] policy: outbox at sync
-    /// instants, outbox for sync-class sources inside windows, protocol
-    /// violation otherwise.
-    fn cascade(&mut self, now: SimTime, cross: Cross) -> Result<(), CascadeError> {
+    /// Routes `wave` breadth-first at `now` until it drains, recording
+    /// every commanded node in `touched`. Each iteration of the outer
+    /// loop is one guard step. Local commands are delivered
+    /// immediately; on a sharded harness cross-shard commands follow the
+    /// [`Cross`] policy: outbox at sync instants, outbox for sync-class
+    /// sources inside windows, protocol violation otherwise.
+    fn cascade<const ONE: bool>(&mut self, now: SimTime, cross: Cross) -> Result<(), CascadeError> {
+        let owner: &[(u32, u32)] = if ONE {
+            &[]
+        } else {
+            self.owner.as_deref().expect("sealed")
+        };
         let mut steps = 0u32;
         while !self.wave.is_empty() {
             steps += 1;
@@ -298,6 +314,11 @@ where
                 self.cmds.clear();
                 return Err(err);
             }
+            // Drain the wave in runs of consecutive same-source events,
+            // entering the router once per run. Routing order and
+            // delivery order are exactly the per-event loop's (the
+            // router never reads node state and commands drain in push
+            // order), so batching is bit-identical — only cheaper.
             let mut wave = std::mem::take(&mut self.wave);
             let mut iter = wave.drain(..).peekable();
             while let Some((src, event)) = iter.next() {
@@ -322,48 +343,53 @@ where
                     _ => self.router.route(now, src, event, &mut self.cmds),
                 }
                 for (dst, cmd) in self.cmds.drain() {
-                    let (os, ol) = self.owner[dst.0];
-                    if os == self.idx {
-                        let ol = ol as usize;
-                        self.events += 1;
-                        self.nodes[ol].handle(now, cmd, &mut self.out_buf);
-                        self.touched.push(ol);
-                        for e in self.out_buf.drain(..) {
-                            self.next_wave.push((dst, e));
-                        }
-                    } else if cross == Cross::Allow || self.sync_local[self.owner[src.0].1 as usize]
-                    {
-                        self.seq += 1;
-                        self.stats.mailbox_sent += 1;
-                        self.outbox[os as usize].push((
-                            MailKey {
-                                at: now,
-                                src_shard: self.idx,
-                                seq: self.seq,
-                            },
-                            (dst, cmd),
-                        ));
+                    let local = if ONE {
+                        dst.0
                     } else {
-                        // The partition split tightly coupled nodes or
-                        // the lookahead overstates the link latency: a
-                        // typed error, not a process kill.
-                        self.failed = Some(CascadeError::CrossShard {
-                            at: now,
-                            src,
-                            dst,
-                            src_shard: self.idx,
-                            dst_shard: os,
-                        });
-                        break;
+                        let (os, ol) = owner[dst.0];
+                        if os == self.idx {
+                            ol as usize
+                        } else if cross == Cross::Allow || self.sync_local[owner[src.0].1 as usize]
+                        {
+                            self.seq += 1;
+                            self.stats.mailbox_sent += 1;
+                            self.outbox[os as usize].push((
+                                MailKey {
+                                    at: now,
+                                    src_shard: self.idx,
+                                    seq: self.seq,
+                                },
+                                (dst, cmd),
+                            ));
+                            continue;
+                        } else {
+                            // The partition split tightly coupled nodes
+                            // or the lookahead overstates the link
+                            // latency: a typed error, not a process kill.
+                            self.failed = Some(CascadeError::CrossShard {
+                                at: now,
+                                src,
+                                dst,
+                                src_shard: self.idx,
+                                dst_shard: os,
+                            });
+                            break;
+                        }
+                    };
+                    self.events += 1;
+                    self.nodes[local].handle(now, cmd, &mut self.out_buf);
+                    self.touched.push(local);
+                    for e in self.out_buf.drain(..) {
+                        self.next_wave.push((dst, e));
                     }
                 }
-                if self.failed.is_some() {
+                if !ONE && self.failed.is_some() {
                     break;
                 }
             }
             drop(iter);
             self.wave = wave;
-            if let Some(err) = self.failed {
+            if let Some(err) = self.failed.filter(|_| !ONE) {
                 self.wave.clear();
                 self.next_wave.clear();
                 self.cmds.clear();
@@ -373,6 +399,41 @@ where
             std::mem::swap(&mut self.wave, &mut self.next_wave);
         }
         Ok(())
+    }
+
+    /// The one-shard run: services every deadline up to `horizon`
+    /// inclusive, one instant at a time.
+    fn run_plain(&mut self, horizon: SimTime) -> Result<(), CascadeError> {
+        self.flush_dirty::<true>();
+        while let Some((t, _)) = self.heap.peek() {
+            if t > horizon {
+                break;
+            }
+            debug_assert!(t >= self.now, "time went backwards");
+            self.now = t;
+            self.advance_due::<true>(t);
+            let result = self.cascade::<true>(t, Cross::Allow);
+            self.reschedule_touched::<true>();
+            result?;
+        }
+        Ok(())
+    }
+
+    /// Delivers `cmd` to local node `l` of a one-shard harness at the
+    /// current instant and routes the resulting cascade.
+    fn inject(&mut self, l: usize, cmd: C::Cmd) -> Result<(), CascadeError> {
+        let now = self.now;
+        debug_assert!(self.out_buf.is_empty() && self.wave.is_empty());
+        self.events += 1;
+        self.nodes[l].handle(now, cmd, &mut self.out_buf);
+        for e in self.out_buf.drain(..) {
+            self.wave.push((NodeId(l), e));
+        }
+        self.touched.clear();
+        self.touched.push(l);
+        let result = self.cascade::<true>(now, Cross::Allow);
+        self.reschedule_touched::<true>();
+        result
     }
 
     /// Runs every local instant — heap deadlines *and* pending mail —
@@ -400,15 +461,15 @@ where
                 self.now
             );
             self.now = t;
-            if self.heap.peek().is_some_and(|(at, _)| at == t) {
-                self.advance_due(t);
-                let result = self.cascade(t, Cross::SyncOnly);
-                self.reschedule_touched();
+            if self.peek() == Some(t) {
+                self.advance_due::<false>(t);
+                let result = self.cascade::<false>(t, Cross::SyncOnly);
+                self.reschedule_touched::<false>();
                 if result.is_err() {
                     return;
                 }
             }
-            if self.deliver_due_pending(t, Cross::SyncOnly).is_err() {
+            if self.deliver_mail(t, false, Cross::SyncOnly).is_err() {
                 return;
             }
         }
@@ -422,47 +483,61 @@ where
         }
         debug_assert!(t >= self.now, "shard time went backwards");
         self.now = t;
-        self.advance_due(t);
-        let _ = self.cascade(t, Cross::Allow);
-        self.reschedule_touched();
+        self.advance_due::<false>(t);
+        let _ = self.cascade::<false>(t, Cross::Allow);
+        self.reschedule_touched::<false>();
         // Pending mail emitted exactly at `t` joins the sync instant.
-        let _ = self.deliver_due_pending(t, Cross::Allow);
+        let _ = self.deliver_mail(t, false, Cross::Allow);
     }
 
     /// Advances every local node due at or before `t`, in local order,
     /// queueing their outputs as the opening wave of the instant.
-    fn advance_due(&mut self, t: SimTime) {
-        self.pop_due(t);
+    fn advance_due<const ONE: bool>(&mut self, t: SimTime) {
+        self.pop_due::<ONE>(t);
         self.touched.clear();
         self.touched.extend_from_slice(&self.due);
         debug_assert!(self.wave.is_empty() && self.out_buf.is_empty());
         for i in 0..self.due.len() {
             let l = self.due[i];
+            let id = if ONE { NodeId(l) } else { self.global_ids[l] };
             self.events += 1;
             self.nodes[l].advance(t, &mut self.out_buf);
             for e in self.out_buf.drain(..) {
-                self.wave.push((self.global_ids[l], e));
+                self.wave.push((id, e));
             }
         }
     }
 
-    /// Delivers every pending-mail entry emitted at or before `t` (a
-    /// sorted prefix), routing the fallout under `cross`. Capacity is
-    /// retained; the not-yet-due tail stays queued.
-    fn deliver_due_pending(&mut self, t: SimTime, cross: Cross) -> Result<(), CascadeError> {
+    /// Delivers incoming mail at `t` and routes the fallout under
+    /// `cross`: the whole pre-sorted inbox of a sync-instant exchange
+    /// round (`inbox`), else the prefix of the pending queue emitted at
+    /// or before `t`, whose not-yet-due tail stays queued. Capacity is
+    /// retained either way.
+    fn deliver_mail(&mut self, t: SimTime, inbox: bool, cross: Cross) -> Result<(), CascadeError> {
         if self.failed.is_some() {
+            self.inbox.clear();
             return Ok(()); // failure already recorded by the cascade
         }
-        let end = self.pending.iter().take_while(|m| m.0.at <= t).count();
+        let end = if inbox {
+            self.inbox.len()
+        } else {
+            self.pending.iter().take_while(|m| m.0.at <= t).count()
+        };
         if end == 0 {
             return Ok(());
         }
+        let queue = if inbox {
+            &mut self.inbox
+        } else {
+            &mut self.pending
+        };
+        let mut mail = std::mem::take(queue);
         debug_assert!(self.wave.is_empty() && self.out_buf.is_empty());
         self.stats.mailbox_recv += end as u64;
         self.touched.clear();
-        let mut pending = std::mem::take(&mut self.pending);
-        for (_key, (dst, cmd)) in pending.drain(..end) {
-            let (os, ol) = self.owner[dst.0];
+        let owner = self.owner.as_deref().expect("sealed");
+        for (_key, (dst, cmd)) in mail.drain(..end) {
+            let (os, ol) = owner[dst.0];
             debug_assert_eq!(os, self.idx, "mail delivered to the wrong shard");
             let ol = ol as usize;
             self.events += 1;
@@ -472,38 +547,14 @@ where
                 self.wave.push((dst, e));
             }
         }
-        self.pending = pending; // keep the capacity (and the tail)
-        let result = self.cascade(t, cross);
-        self.reschedule_touched();
+        *(if inbox {
+            &mut self.inbox
+        } else {
+            &mut self.pending
+        }) = mail;
+        let result = self.cascade::<false>(t, cross);
+        self.reschedule_touched::<false>();
         result
-    }
-
-    /// Delivers the (pre-sorted) inbox at `t` and routes the fallout;
-    /// further cross-shard commands go back to the outbox for the next
-    /// exchange round.
-    fn deliver_inbox(&mut self, t: SimTime) {
-        if self.failed.is_some() {
-            self.inbox.clear();
-            return;
-        }
-        debug_assert!(self.wave.is_empty() && self.out_buf.is_empty());
-        self.stats.mailbox_recv += self.inbox.len() as u64;
-        self.touched.clear();
-        let mut inbox = std::mem::take(&mut self.inbox);
-        for (_key, (dst, cmd)) in inbox.drain(..) {
-            let (os, ol) = self.owner[dst.0];
-            debug_assert_eq!(os, self.idx, "mail delivered to the wrong shard");
-            let ol = ol as usize;
-            self.events += 1;
-            self.nodes[ol].handle(t, cmd, &mut self.out_buf);
-            self.touched.push(ol);
-            for e in self.out_buf.drain(..) {
-                self.wave.push((dst, e));
-            }
-        }
-        self.inbox = inbox; // keep the capacity
-        let _ = self.cascade(t, Cross::Allow);
-        self.reschedule_touched();
     }
 }
 
@@ -595,20 +646,22 @@ pub(crate) fn adaptive_bounds(
     }
 }
 
-/// The conservative parallel scheduler. See the module docs.
+/// The scheduler/event-bus. See the module docs and [`crate::bus`].
 ///
-/// Construction mirrors [`crate::bus::Harness`], except nodes declare
-/// their shard (and whether they are sync-class) at registration and
-/// each shard gets its own router instance; router state is merged for
-/// telemetry through [`MergeTelemetry`].
-pub struct ShardedHarness<C: Component, R: Router<C>> {
+/// [`Harness::new`] builds one shard; [`Harness::sharded`] builds one
+/// shard per router, with nodes declaring their shard (and whether they
+/// are sync-class) at registration through [`Harness::add_node_on`].
+/// Router state is merged for telemetry through
+/// [`Router::publish_merged`].
+pub struct Harness<C: Component, R: Router<C>> {
     shards: Vec<Option<ShardState<C, R>>>,
     /// Global registration-order labels (telemetry namespaces).
     labels: Vec<String>,
     /// Global node id → (shard, local index).
     owner_map: Vec<(u32, u32)>,
     sealed: bool,
-    has_sync: bool,
+    /// The sync-class nodes, in registration order.
+    sync_nodes: Vec<NodeId>,
     lookahead: Dur,
     /// Flattened `n × n` influence matrix:
     /// `influence[o * n + k]` is the tightest cut-edge lookahead over
@@ -623,7 +676,10 @@ pub struct ShardedHarness<C: Component, R: Router<C>> {
     /// for bounded mailbox memory. `None` (default) leaves windows
     /// unbounded.
     max_window_span: Option<Dur>,
-    threads: usize,
+    /// Pool workers a dispatch invites. Unless set, resolved at seal
+    /// from the hardware parallelism — a query (a system call and
+    /// cgroup reads) that a one-shard harness never pays.
+    threads: Option<usize>,
     now: SimTime,
     failed: Option<CascadeError>,
     telemetry: Registry,
@@ -643,43 +699,53 @@ pub struct ShardedHarness<C: Component, R: Router<C>> {
     e_buf: Vec<SimTime>,
 }
 
-impl<C, R> ShardedHarness<C, R>
+impl<C, R> Harness<C, R>
 where
-    C: Component + Persist + Send + 'static,
+    C: Component + Send + 'static,
     C::Cmd: Send + 'static,
     C::Out: Send + 'static,
     R: Router<C> + Send + 'static,
 {
+    /// Creates an empty one-shard harness around `router` with the
+    /// given same-instant cascade step limit.
+    pub fn new(router: R, cascade_limit: u32) -> Self {
+        Harness::sharded([router], cascade_limit, Dur::ZERO)
+    }
+
     /// Creates a harness with one shard per router in `routers`.
     /// `lookahead` is the conservative window bound `L` (must be
-    /// positive if any sync-class node is registered); `cascade_limit`
-    /// bounds same-instant cascades exactly as in the single-threaded
-    /// harness (and also bounds mailbox exchange rounds per instant).
-    pub fn new(routers: Vec<R>, cascade_limit: u32, lookahead: Dur) -> Self {
-        assert!(!routers.is_empty(), "at least one shard required");
+    /// positive if any sync-class node is registered on a harness of
+    /// several shards); `cascade_limit` bounds same-instant cascades
+    /// (and also mailbox exchange rounds per instant).
+    pub fn sharded(
+        routers: impl IntoIterator<Item = R>,
+        cascade_limit: u32,
+        lookahead: Dur,
+    ) -> Self {
         assert!(cascade_limit > 0, "cascade limit must be positive");
-        let n = routers.len();
-        ShardedHarness {
-            shards: routers
-                .into_iter()
-                .enumerate()
-                .map(|(k, r)| Some(ShardState::new(k as u32, r, cascade_limit, n)))
-                .collect(),
+        let shards: Vec<_> = routers
+            .into_iter()
+            .enumerate()
+            .map(|(k, r)| Some(ShardState::new(k as u32, r, cascade_limit)))
+            .collect();
+        assert!(!shards.is_empty(), "at least one shard required");
+        Harness {
+            shards,
             labels: Vec::new(),
             owner_map: Vec::new(),
             sealed: false,
-            has_sync: false,
+            sync_nodes: Vec::new(),
             lookahead,
             influence: None,
             max_window_span: None,
-            threads: crate::sweep::default_threads(n),
+            threads: None,
             now: SimTime::ZERO,
             failed: None,
             telemetry: Registry::new(),
             windows: 0,
             sync_instants: 0,
             mail_rounds: 0,
-            merge_buf: (0..n).map(|_| Vec::new()).collect(),
+            merge_buf: Vec::new(),
             active: Vec::new(),
             t_buf: Vec::new(),
             b_buf: Vec::new(),
@@ -688,18 +754,27 @@ where
         }
     }
 
-    /// Like [`ShardedHarness::new`] with [`DEFAULT_CASCADE_LIMIT`].
-    pub fn with_default_limit(routers: Vec<R>, lookahead: Dur) -> Self {
-        ShardedHarness::new(routers, DEFAULT_CASCADE_LIMIT, lookahead)
+    /// Registers a node on shard 0 and schedules its current deadline.
+    /// The node's telemetry namespace defaults to `node{k}`; use
+    /// [`Harness::add_node_labeled`] to mount it elsewhere.
+    pub fn add_node(&mut self, node: C) -> NodeId {
+        let label = format!("node{}", self.owner_map.len());
+        self.add_node_labeled(node, label)
+    }
+
+    /// Registers a node on shard 0 under an explicit dotted telemetry
+    /// namespace (e.g. `tokenring.ring0`, `unixkern.h1`).
+    pub fn add_node_labeled(&mut self, node: C, label: impl Into<String>) -> NodeId {
+        self.add_node_on(node, label, 0, false)
     }
 
     /// Registers `node` on `shard` under a dotted telemetry namespace.
     /// Global [`NodeId`]s are assigned densely in registration order
-    /// across all shards — identical numbering to registering the same
-    /// sequence into a single-threaded harness. `sync` marks the node
-    /// sync-class (it may emit cross-shard commands; its deadlines
-    /// bound the conservative windows).
-    pub fn add_node_labeled(
+    /// across all shards — so the numbering, which is also the service
+    /// order on deadline ties, does not depend on the shard count.
+    /// `sync` marks the node sync-class (it may emit cross-shard
+    /// commands; its deadlines bound the conservative windows).
+    pub fn add_node_on(
         &mut self,
         node: C,
         label: impl Into<String>,
@@ -708,12 +783,21 @@ where
     ) -> NodeId {
         assert!(!self.sealed, "cannot add nodes after the first run");
         let id = NodeId(self.owner_map.len());
-        let s = self.shards[shard].as_mut().expect("shard present");
-        let local = s.add_node(node, id, sync);
+        let local = self.shard_mut(shard).add_node(node);
         self.owner_map.push((shard as u32, local));
         self.labels.push(label.into());
-        self.has_sync |= sync;
+        if sync {
+            self.sync_nodes.push(id);
+        }
         id
+    }
+
+    fn shard(&self, k: usize) -> &ShardState<C, R> {
+        self.shards[k].as_ref().expect("shard present")
+    }
+
+    fn shard_mut(&mut self, k: usize) -> &mut ShardState<C, R> {
+        self.shards[k].as_mut().expect("shard present")
     }
 
     /// Number of shards.
@@ -736,9 +820,11 @@ where
         self.now
     }
 
-    /// Component activations serviced so far, summed over shards. By
-    /// construction equal to the single-threaded count for the same
-    /// simulation.
+    /// Component activations (deadline advances plus delivered commands)
+    /// serviced so far, summed over shards — the same count at every
+    /// shard count, and the numerator of the `perf` harness's
+    /// events/sec figure. Not published as telemetry (the metric tree is
+    /// pinned by golden digests); purely a scheduler-throughput counter.
     pub fn events(&self) -> u64 {
         self.shards
             .iter()
@@ -746,19 +832,19 @@ where
             .sum()
     }
 
-    /// The error that poisoned this harness, if any shard's cascade
-    /// overflowed.
+    /// The error that poisoned this harness, if a cascade overflowed or
+    /// a shard broke the window protocol.
     pub fn failure(&self) -> Option<CascadeError> {
         self.failed
     }
 
     /// Caps every window at `span` past the global minimum instant `T`.
     /// Results are span-invariant (capped runs are checked against the
-    /// single-threaded reference like uncapped ones), but without a cap
-    /// an *uninfluenced* shard may run clear to the horizon in one
-    /// window, growing its outbox — and the receiving shard's pending
-    /// queue — linearly with the run length. Long-running callers that
-    /// care about bounded mailbox memory (e.g. the zero-allocation
+    /// one-shard reference like uncapped ones), but without a cap an
+    /// *uninfluenced* shard may run clear to the horizon in one window,
+    /// growing its outbox — and the receiving shard's pending queue —
+    /// linearly with the run length. Long-running callers that care
+    /// about bounded mailbox memory (e.g. the zero-allocation
     /// steady-state test) install a span; `span` must be positive.
     pub fn set_max_window_span(&mut self, span: Dur) {
         assert!(span > Dur::ZERO, "a zero span would stall every window");
@@ -810,61 +896,39 @@ where
     /// caller, which measures pure protocol overhead (the schedule —
     /// and therefore every result — is identical at any thread count).
     pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
+        self.threads = Some(threads.max(1));
     }
 
     /// Conservative windows run so far, across `run_until` calls (the
-    /// `sched.windows` execution counter).
+    /// `sched.windows` execution counter; always 0 on a harness that
+    /// was built with one shard).
     pub fn windows(&self) -> u64 {
         self.windows
     }
 
     /// The same-instant cascade step limit.
     pub fn cascade_limit(&self) -> u32 {
-        self.shards[0].as_ref().expect("shard present").limit
-    }
-
-    /// Dismantles the harness into its nodes, in global registration
-    /// order, each with its telemetry label — the hand-over to a
-    /// single-threaded [`crate::bus::Harness`], which registers them in
-    /// this order and so assigns the same [`NodeId`]s. Routers, clocks
-    /// and telemetry are dropped: persist them first (the
-    /// [`ShardedHarness::persist_state`] stream restores into the new
-    /// harness). Call at a sync-instant boundary. The harness is left
-    /// without shards, so any later use of it panics; it only takes
-    /// `&mut self` so an owner can hand over in place.
-    pub fn take_nodes(&mut self) -> Vec<(C, String)> {
-        let mut shards: Vec<std::vec::IntoIter<C>> = self
-            .shards
-            .iter_mut()
-            .map(|s| s.take().expect("shard present").nodes.into_iter())
-            .collect();
-        // Each shard holds its nodes in global order, so walking the
-        // owner map takes them back out in sequence.
-        self.owner_map
-            .iter()
-            .zip(std::mem::take(&mut self.labels))
-            .map(|(&(s, _), label)| (shards[s as usize].next().expect("node present"), label))
-            .collect()
+        self.shard(0).limit
     }
 
     /// Execution counters for shard `k`.
     pub fn shard_stats(&self, k: usize) -> ShardStats {
-        let s = self.shards[k].as_ref().expect("shard present");
-        let mut stats = s.stats;
-        stats.events = s.events;
-        stats
+        let s = self.shard(k);
+        ShardStats {
+            events: s.events,
+            ..s.stats
+        }
     }
 
     /// Shared access to shard `k`'s router.
     pub fn shard_router(&self, k: usize) -> &R {
-        &self.shards[k].as_ref().expect("shard present").router
+        &self.shard(k).router
     }
 
     /// Mutable access to shard `k`'s router (checkpoint restoration
     /// distributes decoded router state across the shard routers).
     pub fn shard_router_mut(&mut self, k: usize) -> &mut R {
-        &mut self.shards[k].as_mut().expect("shard present").router
+        &mut self.shard_mut(k).router
     }
 
     /// The shard that owns `id`.
@@ -875,55 +939,119 @@ where
     /// Shared access to a node by its global id.
     pub fn node(&self, id: NodeId) -> &C {
         let (s, l) = self.owner_map[id.0];
-        &self.shards[s as usize]
-            .as_ref()
-            .expect("shard present")
-            .nodes[l as usize]
+        &self.shard(s as usize).nodes[l as usize]
     }
 
     /// Mutable access to a node. The node is conservatively rescheduled
-    /// before the next step, as in the single-threaded harness.
+    /// before the next step, since the caller may change its deadline.
     pub fn node_mut(&mut self, id: NodeId) -> &mut C {
         let (s, l) = self.owner_map[id.0];
-        let shard = self.shards[s as usize].as_mut().expect("shard present");
+        let shard = self.shard_mut(s as usize);
         shard.dirty.push(l as usize);
         &mut shard.nodes[l as usize]
     }
 
-    /// Distributes the final owner map to the shards; registration is
-    /// closed afterwards.
+    /// Delivers `cmd` to `id` at the current instant and routes the
+    /// resulting cascade, exactly as if the command had been produced by
+    /// the router mid-run. Only a one-shard harness injects: on a
+    /// sharded one the fallout could cross a shard cut outside any
+    /// window, so this panics there.
+    pub fn inject(&mut self, id: NodeId, cmd: C::Cmd) -> Result<(), CascadeError> {
+        if let Some(e) = self.failed {
+            return Err(e);
+        }
+        assert_eq!(
+            self.shards.len(),
+            1,
+            "inject needs a one-shard harness (this one has {} shards)",
+            self.shards.len()
+        );
+        // An injection failure is adopted (with its trail) below.
+        let _ = self.shard_mut(0).inject(id.0, cmd);
+        self.check_failures()
+    }
+
+    /// Merges every shard into one, in place, at a clean cut (after a
+    /// `try_run_until*` call returned: no mail in flight). Nodes move
+    /// into the single shard in registration order and keep their
+    /// global ids — so ids and tie order are unchanged — and `merge`
+    /// folds the per-shard routers, given in shard order, into one. The
+    /// clock, the event count, the telemetry history and the window
+    /// counters carry over; per-shard execution counters restart. From
+    /// then on the harness runs the plain one-shard loop. A no-op on a
+    /// one-shard harness.
+    pub fn collapse(&mut self, merge: impl FnOnce(Vec<R>) -> R) {
+        if self.shards.len() == 1 {
+            return;
+        }
+        let limit = self.cascade_limit();
+        let mut events = 0;
+        let mut routers = Vec::with_capacity(self.shards.len());
+        let mut parts = Vec::with_capacity(self.shards.len());
+        for s in self.shards.drain(..) {
+            let s = s.expect("shard present");
+            debug_assert!(
+                s.pending.is_empty() && s.outbox.iter().all(Vec::is_empty),
+                "collapse off a clean cut"
+            );
+            events += s.events;
+            routers.push(s.router);
+            parts.push(s.nodes.into_iter());
+        }
+        let mut one = ShardState::new(0, merge(routers), limit);
+        // Each shard holds its nodes in global order, so walking the
+        // owner map takes them back out in sequence.
+        for owner in &mut self.owner_map {
+            let node = parts[owner.0 as usize].next().expect("node present");
+            *owner = (0, one.add_node(node));
+        }
+        one.now = self.now;
+        one.events = events;
+        self.shards = vec![Some(one)];
+    }
+
+    /// Builds what only a harness of several shards needs — the
+    /// shared owner table, each shard's global-id map, sync-class flags
+    /// and sync heap, the mailboxes, the influence matrix and the
+    /// worker count — and closes registration.
     fn seal(&mut self) {
         if self.sealed {
             return;
         }
-        if self.has_sync {
-            assert!(
-                self.lookahead > Dur::ZERO,
-                "sync-class nodes require a positive lookahead"
-            );
-        }
-        let owner = Arc::new(self.owner_map.clone());
+        assert!(
+            self.sync_nodes.is_empty() || self.lookahead > Dur::ZERO,
+            "sync-class nodes require a positive lookahead"
+        );
+        let n = self.shards.len();
+        self.threads
+            .get_or_insert_with(|| crate::sweep::default_threads(n));
+        let owner: Arc<[(u32, u32)]> = self.owner_map.as_slice().into();
         for s in &mut self.shards {
-            s.as_mut().expect("shard present").owner = Arc::clone(&owner);
+            let s = s.as_mut().expect("shard present");
+            s.owner = Some(Arc::clone(&owner));
+            s.outbox = (0..n).map(|_| Vec::new()).collect();
+            s.sync_local = vec![false; s.nodes.len()];
         }
+        for (gid, &(s, _)) in self.owner_map.iter().enumerate() {
+            let shard = self.shards[s as usize].as_mut().expect("shard present");
+            shard.global_ids.push(NodeId(gid));
+        }
+        let mut mails = vec![false; n];
+        for i in 0..self.sync_nodes.len() {
+            let (s, l) = self.owner_map[self.sync_nodes[i].0];
+            mails[s as usize] = true;
+            let shard = self.shard_mut(s as usize);
+            shard.sync_local[l as usize] = true;
+            shard.reschedule::<false>(l as usize);
+        }
+        self.merge_buf = (0..n).map(|_| Vec::new()).collect();
         if self.influence.is_none() {
             // Generic fallback influence matrix: every shard with at
             // least one sync-class node can mail every other shard,
             // over the global lookahead.
-            let n = self.shards.len();
             let mut flat = vec![None; n * n];
-            for o in 0..n {
-                if !self.shards[o]
-                    .as_ref()
-                    .expect("shard present")
-                    .has_sync_nodes()
-                {
-                    continue;
-                }
-                for k in 0..n {
-                    if o == k {
-                        continue;
-                    }
+            for o in (0..n).filter(|&o| mails[o]) {
+                for k in (0..n).filter(|&k| k != o) {
                     flat[o * n + k] = Some(self.lookahead);
                 }
             }
@@ -939,13 +1067,14 @@ where
     where
         F: Fn(&mut ShardState<C, R>) + Send + Sync + 'static,
     {
-        if self.active.len() == 1 || self.threads == 1 {
+        let threads = self.threads.expect("sealed before the first dispatch");
+        if self.active.len() == 1 || threads == 1 {
             // Inline sequential path: no worker handoff, no state
             // collection — a single-threaded sharded run stays
             // allocation-free in steady state.
             for i in 0..self.active.len() {
                 let k = self.active[i];
-                f(self.shards[k].as_mut().expect("shard present"));
+                f(self.shard_mut(k));
             }
             return;
         }
@@ -954,7 +1083,6 @@ where
             .iter()
             .map(|&k| (k, self.shards[k].take().expect("shard present")))
             .collect();
-        let threads = self.threads;
         let done = parallel_map(states, threads, move |(k, mut s)| {
             f(&mut s);
             (k, s)
@@ -965,95 +1093,91 @@ where
     }
 
     /// Adopts the deterministically-first shard failure (by failing
-    /// instant, then node) as the harness failure, leaving the same
-    /// telemetry trail as the single-threaded harness.
-    fn check_failures(&mut self) -> Result<(), CascadeError>
-    where
-        R: MergeTelemetry,
-    {
+    /// instant, then node) as the harness failure, leaving its
+    /// diagnosable trail: an edge-signal event at the failing instant
+    /// plus a final `cascade-failure` phase snapshot of every metric. A
+    /// blown run thus leaves the state the §5.2.1 operators would have
+    /// examined, not just an error value.
+    fn check_failures(&mut self) -> Result<(), CascadeError> {
         if let Some(e) = self.failed {
             return Err(e);
         }
-        let mut first: Option<CascadeError> = None;
-        for s in &self.shards {
-            if let Some(e) = s.as_ref().expect("shard present").failed {
-                first = Some(match first {
-                    Some(f) if (f.at(), f.node()) <= (e.at(), e.node()) => f,
-                    _ => e,
-                });
-            }
+        let first = self
+            .shards
+            .iter()
+            .filter_map(|s| s.as_ref().expect("shard present").failed)
+            .min_by_key(|e| (e.at(), e.node()));
+        match first {
+            Some(err) => Err(self.poison(err)),
+            None => Ok(()),
         }
-        if let Some(err) = first {
-            self.failed = Some(err);
-            self.telemetry
-                .event(err.at(), "sim.cascade.overflow", err.event_detail());
-            self.snapshot_phase("cascade-failure");
-            return Err(err);
-        }
-        Ok(())
+    }
+
+    /// Poisons the harness with `err` and records its telemetry trail.
+    fn poison(&mut self, err: CascadeError) -> CascadeError {
+        self.failed = Some(err);
+        self.telemetry
+            .event(err.at(), "sim.cascade.overflow", err.event_detail());
+        self.snapshot_phase("cascade-failure");
+        err
     }
 
     /// Runs until no node has a deadline at or before `horizon`, then
-    /// leaves the clock at `horizon`. Bit-identical to
-    /// [`crate::bus::Harness::try_run_until`] over the same node set,
-    /// faster in wall clock when the partition decouples the shards.
-    pub fn try_run_until(&mut self, horizon: SimTime) -> Result<(), CascadeError>
-    where
-        R: MergeTelemetry,
-    {
+    /// leaves the clock at `horizon`. Returns a [`CascadeError`] (and
+    /// poisons the harness) if a same-instant cascade never converges;
+    /// the simulation state up to the failing instant remains readable.
+    /// Bit-identical at every shard count.
+    pub fn try_run_until(&mut self, horizon: SimTime) -> Result<(), CascadeError> {
         self.run_to(horizon, None).map(|_| ())
     }
 
-    /// Like [`ShardedHarness::try_run_until`], but the run stops early
+    /// Like [`Harness::try_run_until`], but the run stops early
     /// once the window counter
-    /// ([`ShardedHarness::windows`]) reaches `windows`: it then finishes
+    /// ([`Harness::windows`]) reaches `windows`: it then finishes
     /// every instant up to the latest shard clock `c` and stops there,
     /// with the harness clock at `c` and no mail in flight — exactly the
-    /// state `try_run_until(c)` leaves, so a checkpoint (or a hand-over
-    /// to the single-threaded harness) may be taken. Returns the instant
-    /// reached: `horizon`, or the cut.
+    /// state `try_run_until(c)` leaves, so a checkpoint (or a
+    /// [`Harness::collapse`]) may be taken. Returns the instant reached:
+    /// `horizon`, or the cut.
     pub fn try_run_until_windows(
         &mut self,
         horizon: SimTime,
         windows: u64,
-    ) -> Result<SimTime, CascadeError>
-    where
-        R: MergeTelemetry,
-    {
+    ) -> Result<SimTime, CascadeError> {
         self.run_to(horizon, Some(windows))
     }
 
     /// Shared body of the two `try_run_until` flavours; returns the
     /// instant the run reached.
-    fn run_to(&mut self, horizon: SimTime, stop: Option<u64>) -> Result<SimTime, CascadeError>
-    where
-        R: MergeTelemetry,
-    {
+    fn run_to(&mut self, horizon: SimTime, stop: Option<u64>) -> Result<SimTime, CascadeError> {
         if let Some(e) = self.failed {
             return Err(e);
         }
-        self.seal();
-        // One window past the horizon is enough for every shard: the
-        // window end is exclusive, so `horizon + 1 ns` makes deadlines
-        // at exactly `horizon` runnable.
-        let run_end = horizon.saturating_add(Dur::from_ns(1));
-        let horizon = self.run_windows(horizon, run_end, stop)?;
+        let horizon = if self.shards.len() == 1 {
+            // A failed cascade is adopted (with its trail) below.
+            let _ = self.shard_mut(0).run_plain(horizon);
+            self.check_failures()?;
+            horizon
+        } else {
+            self.seal();
+            // One window past the horizon is enough for every shard: the
+            // window end is exclusive, so `horizon + 1 ns` makes
+            // deadlines at exactly `horizon` runnable.
+            let run_end = horizon.saturating_add(Dur::from_ns(1));
+            self.run_windows(horizon, run_end, stop)?
+        };
         for s in &mut self.shards {
             let s = s.as_mut().expect("shard present");
-            if s.now < horizon {
-                s.now = horizon;
-            }
+            s.now = s.now.max(horizon);
         }
-        if self.now < horizon {
-            self.now = horizon;
-        }
+        self.now = self.now.max(horizon);
         Ok(horizon)
     }
 
-    /// The coordinator loop. Per iteration: flush every outbox
-    /// into the destination shards' sorted pending queues, publish each
-    /// shard's earliest actionable instant `t[k]` and sync deadline
-    /// `b[k]`, compute per-shard window bounds through the
+    /// The coordinator loop of a sharded harness. Per iteration: flush
+    /// every outbox into the destination shards' sorted pending queues,
+    /// publish each shard's earliest actionable instant `t[k]` and sync
+    /// deadline `b[k]`, compute per-shard window bounds through the
     /// [`adaptive_bounds`] influence fixpoint, and dispatch every shard
     /// with work strictly inside its bound. When no shard can make
     /// progress (every bound collapses onto `T`), fall back to one
@@ -1064,19 +1188,16 @@ where
     ///
     /// With `stop`, once the window counter reaches it the horizon is
     /// pulled in to the latest shard clock (see
-    /// [`ShardedHarness::try_run_until_windows`]); returns the horizon
-    /// the run ended at.
+    /// [`Harness::try_run_until_windows`]); returns the horizon the run
+    /// ended at.
     fn run_windows(
         &mut self,
         mut horizon: SimTime,
         mut run_end: SimTime,
         mut stop: Option<u64>,
-    ) -> Result<SimTime, CascadeError>
-    where
-        R: MergeTelemetry,
-    {
+    ) -> Result<SimTime, CascadeError> {
         let n = self.shards.len();
-        let limit = u64::from(self.shards[0].as_ref().expect("shard present").limit);
+        let limit = u64::from(self.cascade_limit());
         let mut streak_at: Option<SimTime> = None;
         let mut streak = 0u64;
         loop {
@@ -1084,17 +1205,7 @@ where
             // per-(src,dst) batched in the outboxes), then append and
             // re-sort each destination's pending queue. Keys are unique,
             // so the unstable sort is deterministic.
-            let mut moved = false;
-            for src in 0..n {
-                let s = self.shards[src].as_mut().expect("shard present");
-                for (dst, out) in s.outbox.iter_mut().enumerate() {
-                    if !out.is_empty() {
-                        moved = true;
-                        self.merge_buf[dst].append(out);
-                    }
-                }
-            }
-            if moved {
+            if self.gather_outboxes() {
                 self.mail_rounds += 1;
                 for dst in 0..n {
                     if self.merge_buf[dst].is_empty() {
@@ -1108,16 +1219,16 @@ where
             // Publish per-shard state.
             self.t_buf.clear();
             self.b_buf.clear();
-            let mut t_min: Option<SimTime> = None;
             for k in 0..n {
                 let s = self.shards[k].as_mut().expect("shard present");
-                s.flush_dirty();
-                let tk = crate::engine::earliest([s.peek(), s.peek_pending()]);
-                t_min = crate::engine::earliest([t_min, tk]);
-                self.t_buf.push(tk);
+                s.flush_dirty::<false>();
+                self.t_buf
+                    .push(crate::engine::earliest([s.peek(), s.peek_pending()]));
                 self.b_buf.push(s.peek_sync());
             }
-            let Some(t) = t_min else { break };
+            let Some(t) = crate::engine::earliest(self.t_buf.iter().copied()) else {
+                break;
+            };
             if t > horizon {
                 break;
             }
@@ -1134,14 +1245,8 @@ where
                 let node = self
                     .shards
                     .iter()
-                    .filter_map(|s| {
-                        s.as_ref()
-                            .expect("shard present")
-                            .pending
-                            .first()
-                            .map(|m| m.1 .0)
-                    })
-                    .next()
+                    .map(|s| s.as_ref().expect("shard present"))
+                    .find_map(|s| s.pending.first().map(|m| m.1 .0))
                     .or_else(|| {
                         self.shards.iter().find_map(|s| {
                             let s = s.as_ref().expect("shard present");
@@ -1149,12 +1254,7 @@ where
                         })
                     })
                     .expect("a stuck instant has work somewhere");
-                let err = CascadeError::overflow(t, node, streak as u32);
-                self.failed = Some(err);
-                self.telemetry
-                    .event(err.at(), "sim.cascade.overflow", err.event_detail());
-                self.snapshot_phase("cascade-failure");
-                return Err(err);
+                return Err(self.poison(CascadeError::overflow(t, node, streak as u32)));
             }
             // Window bounds and the active set.
             let influence = self.influence.as_deref().expect("sealed with influence");
@@ -1191,7 +1291,7 @@ where
             let mut next_active = 0;
             for k in 0..n {
                 let s = self.shards[k].as_mut().expect("shard present");
-                if next_active < self.active.len() && self.active[next_active] == k {
+                if self.active.get(next_active) == Some(&k) {
                     next_active += 1;
                     s.stats.window_advances += 1;
                 } else {
@@ -1229,12 +1329,25 @@ where
         Ok(horizon)
     }
 
-    /// Like [`ShardedHarness::try_run_until`] but panics on cascade
-    /// overflow.
-    pub fn run_until(&mut self, horizon: SimTime)
-    where
-        R: MergeTelemetry,
-    {
+    /// Moves every shard's outboxes into the per-destination merge
+    /// buffers; true when any mail moved.
+    fn gather_outboxes(&mut self) -> bool {
+        let mut moved = false;
+        for s in &mut self.shards {
+            let s = s.as_mut().expect("shard present");
+            for (dst, out) in s.outbox.iter_mut().enumerate() {
+                if !out.is_empty() {
+                    moved = true;
+                    self.merge_buf[dst].append(out);
+                }
+            }
+        }
+        moved
+    }
+
+    /// Like [`Harness::try_run_until`] but panics on cascade overflow
+    /// (for callers that treat it as the bug it is).
+    pub fn run_until(&mut self, horizon: SimTime) {
         if let Err(e) = self.try_run_until(horizon) {
             panic!("{e}");
         }
@@ -1243,10 +1356,7 @@ where
     /// One sync instant at `t`: due shards advance with cross-shard
     /// emission diverted to mailboxes, then mail is exchanged in
     /// deterministic rounds until none is in flight.
-    fn run_sync_instant(&mut self, t: SimTime) -> Result<(), CascadeError>
-    where
-        R: MergeTelemetry,
-    {
+    fn run_sync_instant(&mut self, t: SimTime) -> Result<(), CascadeError> {
         self.active.clear();
         for (k, s) in self.shards.iter().enumerate() {
             let s = s.as_ref().expect("shard present");
@@ -1261,40 +1371,19 @@ where
             self.check_failures()?;
         }
         let mut rounds = 0u64;
-        loop {
-            // Gather every shard's outboxes into per-destination merge
-            // buffers and sort each into (time, src_shard, seq) order.
-            let mut any = false;
-            for s in &mut self.shards {
-                let s = s.as_mut().expect("shard present");
-                for (dst, out) in s.outbox.iter_mut().enumerate() {
-                    if !out.is_empty() {
-                        any = true;
-                        self.merge_buf[dst].append(out);
-                    }
-                }
-            }
-            if !any {
-                break;
-            }
+        // Sort every gathered mailbox into (time, src_shard, seq) order
+        // and deliver it, round after round, until no mail is in flight.
+        while self.gather_outboxes() {
             rounds += 1;
             self.mail_rounds += 1;
-            if rounds > u64::from(self.shards[0].as_ref().expect("shard present").limit) {
+            if rounds > u64::from(self.cascade_limit()) {
                 // Mail ping-pong at one instant that never converges is
                 // the cross-shard flavor of a cascade livelock.
-                let err = CascadeError::overflow(
-                    t,
-                    self.merge_buf.iter().flatten().next().expect("mail").1 .0,
-                    rounds as u32,
-                );
-                self.failed = Some(err);
+                let node = self.merge_buf.iter().flatten().next().expect("mail").1 .0;
                 for b in &mut self.merge_buf {
                     b.clear();
                 }
-                self.telemetry
-                    .event(err.at(), "sim.cascade.overflow", err.event_detail());
-                self.snapshot_phase("cascade-failure");
-                return Err(err);
+                return Err(self.poison(CascadeError::overflow(t, node, rounds as u32)));
             }
             self.active.clear();
             for (k, s) in self.shards.iter_mut().enumerate() {
@@ -1307,30 +1396,30 @@ where
                 std::mem::swap(&mut s.inbox, &mut self.merge_buf[k]);
                 self.active.push(k);
             }
-            self.dispatch(move |s| s.deliver_inbox(t));
+            self.dispatch(move |s| {
+                let _ = s.deliver_mail(t, true, Cross::Allow);
+            });
             self.check_failures()?;
         }
         Ok(())
     }
 
-    /// The run's telemetry registry as last collected.
+    /// The run's telemetry registry as last collected (events and phase
+    /// snapshots accumulate live; metrics are rebuilt by
+    /// [`Harness::collect_telemetry`]).
     pub fn telemetry(&self) -> &Registry {
         &self.telemetry
     }
 
-    /// Rebuilds the metric tree: every node publishes under its
-    /// registration label in **global** registration order, the
-    /// per-shard routers publish through [`MergeTelemetry`], and the
-    /// harness adds the same `sim.*` metrics as the single-threaded
-    /// collector — so the serialized tree is byte-identical to
-    /// [`crate::bus::Harness::collect_telemetry`] over the same run.
-    pub fn collect_telemetry(&mut self) -> &mut Registry
-    where
-        R: MergeTelemetry,
-    {
+    /// Rebuilds the metric tree by pulling every node's instruments
+    /// (each under its registration label, in global registration
+    /// order), the routers' through [`Router::publish_merged`], and the
+    /// harness's own `sim.*` metrics, then returns the registry for
+    /// further additions or serialization. Deterministic, and
+    /// byte-identical at every shard count.
+    pub fn collect_telemetry(&mut self) -> &mut Registry {
         self.telemetry.clear_metrics();
-        for gid in 0..self.owner_map.len() {
-            let (s, l) = self.owner_map[gid];
+        for (gid, &(s, l)) in self.owner_map.iter().enumerate() {
             let shard = self.shards[s as usize].as_ref().expect("shard present");
             let mut scope = self.telemetry.scope(&self.labels[gid]);
             shard.nodes[l as usize].publish_telemetry(&mut scope);
@@ -1349,36 +1438,45 @@ where
     }
 
     /// Collects the current metric tree and freezes it as a named phase
-    /// snapshot.
-    pub fn snapshot_phase(&mut self, name: impl Into<String>)
-    where
-        R: MergeTelemetry,
-    {
+    /// snapshot (serialized with the registry).
+    pub fn snapshot_phase(&mut self, name: impl Into<String>) {
         self.collect_telemetry();
         self.telemetry.snapshot_phase(name);
     }
 
     /// Collects and serializes the registry as canonical JSON.
-    pub fn telemetry_json(&mut self) -> String
-    where
-        R: MergeTelemetry,
-    {
+    pub fn telemetry_json(&mut self) -> String {
         self.collect_telemetry();
         self.telemetry.to_json()
     }
 
-    /// Appends the harness's dynamic state in the **same format** as
-    /// [`crate::bus::Harness::persist_state`]: clock, total event count,
-    /// every node in *global* registration order, telemetry history.
-    /// Nothing in the bytes mentions a shard, which is what lets a
-    /// snapshot taken here restore into a single-threaded harness or a
-    /// sharded one with any shard count.
+    /// Node `gid` for persisting, asserting its shard is at a clean cut.
+    fn persisted_node(&self, gid: usize) -> &C {
+        let (s, l) = self.owner_map[gid];
+        let shard = self.shard(s as usize);
+        debug_assert!(
+            shard.wave.is_empty()
+                && shard.out_buf.is_empty()
+                && shard.inbox.is_empty()
+                && shard.pending.is_empty()
+                && shard.outbox.iter().all(|o| o.is_empty()),
+            "checkpoint taken off a clean cut"
+        );
+        &shard.nodes[l as usize]
+    }
+
+    /// Appends the harness's dynamic state — clock, total event count,
+    /// every node in *global* registration order, and the telemetry
+    /// event/phase history — to `enc`. Nothing in the bytes mentions a
+    /// shard, so a snapshot restores into a harness of any shard count.
+    /// The scheduler heaps are *not* encoded: they are a pure function
+    /// of node deadlines and are rebuilt on restore. Routers are also
+    /// not encoded; the topology layer that owns their concrete type
+    /// persists them alongside this call (merging the per-shard parts
+    /// canonically).
     ///
-    /// Must be called at a sync-instant boundary — after `try_run_until`
-    /// returned, when every shard's clock sits at the horizon and no
-    /// mail is in flight. Routers are persisted separately by the
-    /// topology layer (which knows their concrete type and how to merge
-    /// the per-shard parts canonically).
+    /// Must be called at a clean cut — after `try_run_until` returned,
+    /// when every scratch buffer is drained and no mail is in flight.
     pub fn persist_state(&self, enc: &mut Enc)
     where
         C: Persist,
@@ -1387,66 +1485,18 @@ where
         enc.u64(self.events());
         enc.seq_len(self.owner_map.len());
         for gid in 0..self.owner_map.len() {
-            let (s, l) = self.owner_map[gid];
-            let shard = self.shards[s as usize].as_ref().expect("shard present");
-            debug_assert!(
-                shard.wave.is_empty()
-                    && shard.out_buf.is_empty()
-                    && shard.inbox.is_empty()
-                    && shard.pending.is_empty()
-                    && shard.outbox.iter().all(|o| o.is_empty()),
-                "checkpoint taken off a sync-instant boundary"
-            );
-            shard.nodes[l as usize].persist(enc);
+            self.persisted_node(gid).persist(enc);
         }
         self.telemetry.persist(enc);
     }
 
-    /// Applies state persisted by [`ShardedHarness::persist_state`] (or
-    /// by the single-threaded harness — the formats are identical) onto
-    /// this freshly rebuilt harness. The node count must match; the
-    /// shard count need not. Every node is marked dirty so its shard's
-    /// heaps re-key it from the restored deadline, every shard's clock
-    /// is set to the checkpoint instant, and the total event count is
-    /// assigned to shard 0 (only the sum is observable).
-    pub fn restore_state(&mut self, dec: &mut Dec<'_>) -> Result<(), PersistError>
-    where
-        C: Persist,
-    {
-        if let Some(e) = self.failed {
-            return Err(PersistError::mismatch(format!(
-                "cannot restore into a poisoned harness: {e}"
-            )));
-        }
-        let now = dec.time()?;
-        let events = dec.u64()?;
-        let n = dec.seq_len()?;
-        if n != self.owner_map.len() {
-            return Err(PersistError::mismatch(format!(
-                "checkpoint has {n} nodes, rebuilt harness has {}",
-                self.owner_map.len()
-            )));
-        }
-        for gid in 0..self.owner_map.len() {
-            let (s, l) = self.owner_map[gid];
-            let shard = self.shards[s as usize].as_mut().expect("shard present");
-            shard.nodes[l as usize].restore(dec)?;
-            shard.dirty.push(l as usize);
-        }
-        self.telemetry.restore(dec)?;
-        for (k, s) in self.shards.iter_mut().enumerate() {
-            let s = s.as_mut().expect("shard present");
-            s.now = now;
-            s.events = if k == 0 { events } else { 0 };
-        }
-        self.now = now;
-        Ok(())
-    }
-
-    /// [`ShardedHarness::persist_state`] through a bounded chunk
-    /// buffer — same bytes, same framing contract as
-    /// [`crate::bus::Harness::persist_state_chunked`], so the two
-    /// engines' streams are interchangeable.
+    /// [`Harness::persist_state`] through a bounded chunk buffer: the
+    /// identical bytes, streamed node by node so the whole snapshot is
+    /// never materialized. Framing contract (relied on by
+    /// `restore_state_chunked`): the prefix (clock, event counter, node
+    /// count — plus whatever header the caller already buffered) ends a
+    /// chunk; nodes then pack greedily, each chunk holding whole nodes;
+    /// the telemetry block is flushed as its own chunk.
     pub fn persist_state_chunked(&self, w: &mut ChunkedWriter<'_>) -> Result<(), PersistError>
     where
         C: Persist,
@@ -1457,17 +1507,7 @@ where
         enc.seq_len(self.owner_map.len());
         w.flush_chunk()?;
         for gid in 0..self.owner_map.len() {
-            let (s, l) = self.owner_map[gid];
-            let shard = self.shards[s as usize].as_ref().expect("shard present");
-            debug_assert!(
-                shard.wave.is_empty()
-                    && shard.out_buf.is_empty()
-                    && shard.inbox.is_empty()
-                    && shard.pending.is_empty()
-                    && shard.outbox.iter().all(|o| o.is_empty()),
-                "checkpoint taken off a sync-instant boundary"
-            );
-            shard.nodes[l as usize].persist(w.enc());
+            self.persisted_node(gid).persist(w.enc());
             w.unit()?;
         }
         w.flush_chunk()?;
@@ -1476,10 +1516,70 @@ where
         Ok(())
     }
 
-    /// Applies a stream written by either engine's
-    /// `persist_state_chunked` onto this freshly rebuilt harness; see
-    /// [`crate::bus::Harness::restore_state_chunked`] for the argument
-    /// contract.
+    /// Checks a snapshot header's node count against this harness.
+    fn check_restorable(&self, n: usize) -> Result<(), PersistError> {
+        if let Some(e) = self.failed {
+            return Err(PersistError::mismatch(format!(
+                "cannot restore into a poisoned harness: {e}"
+            )));
+        }
+        if n != self.owner_map.len() {
+            return Err(PersistError::mismatch(format!(
+                "checkpoint has {n} nodes, rebuilt harness has {}",
+                self.owner_map.len()
+            )));
+        }
+        Ok(())
+    }
+
+    /// Restores node `gid` on its owner shard and marks it dirty, so
+    /// the shard's heaps re-key it from the restored deadline before
+    /// the next step.
+    fn restore_node(&mut self, gid: usize, dec: &mut Dec<'_>) -> Result<(), PersistError>
+    where
+        C: Persist,
+    {
+        let (s, l) = self.owner_map[gid];
+        let shard = self.shard_mut(s as usize);
+        shard.nodes[l as usize].restore(dec)?;
+        shard.dirty.push(l as usize);
+        Ok(())
+    }
+
+    /// Sets every clock to the checkpoint instant and assigns the total
+    /// event count to shard 0 (only the sum is observable).
+    fn finish_restore(&mut self, now: SimTime, events: u64) {
+        for (k, s) in self.shards.iter_mut().enumerate() {
+            let s = s.as_mut().expect("shard present");
+            s.now = now;
+            s.events = if k == 0 { events } else { 0 };
+        }
+        self.now = now;
+    }
+
+    /// Applies state persisted by [`Harness::persist_state`] onto this
+    /// freshly rebuilt harness (same topology, same registration order;
+    /// the shard count need not match the snapshot's).
+    pub fn restore_state(&mut self, dec: &mut Dec<'_>) -> Result<(), PersistError>
+    where
+        C: Persist,
+    {
+        let now = dec.time()?;
+        let events = dec.u64()?;
+        let n = dec.seq_len()?;
+        self.check_restorable(n)?;
+        for gid in 0..n {
+            self.restore_node(gid, dec)?;
+        }
+        self.telemetry.restore(dec)?;
+        self.finish_restore(now, events);
+        Ok(())
+    }
+
+    /// Applies a stream written by [`Harness::persist_state_chunked`].
+    /// `prefix` is the tail of the first chunk, positioned after the
+    /// caller's header at the clock field; node and telemetry chunks
+    /// are pulled from `r` through the scratch buffer `buf`.
     pub fn restore_state_chunked(
         &mut self,
         prefix: &mut Dec<'_>,
@@ -1489,22 +1589,12 @@ where
     where
         C: Persist,
     {
-        if let Some(e) = self.failed {
-            return Err(PersistError::mismatch(format!(
-                "cannot restore into a poisoned harness: {e}"
-            )));
-        }
         let now = prefix.time()?;
         let events = prefix.u64()?;
-        // Bare u32: the node payloads live in later chunks, so the
-        // remaining-bytes bound of `seq_len` would misfire.
+        // A bare u32, not `seq_len`: the node payloads live in later
+        // chunks, so the remaining-bytes bound would misfire.
         let n = prefix.u32()? as usize;
-        if n != self.owner_map.len() {
-            return Err(PersistError::mismatch(format!(
-                "checkpoint has {n} nodes, rebuilt harness has {}",
-                self.owner_map.len()
-            )));
-        }
+        self.check_restorable(n)?;
         if prefix.remaining() != 0 {
             return Err(PersistError::mismatch(
                 "streamed checkpoint prefix chunk does not end at the node-count field",
@@ -1517,12 +1607,12 @@ where
             }
             let mut dec = Dec::new(buf);
             while gid < n && dec.remaining() > 0 {
-                let (s, l) = self.owner_map[gid];
-                let shard = self.shards[s as usize].as_mut().expect("shard present");
-                shard.nodes[l as usize].restore(&mut dec)?;
-                shard.dirty.push(l as usize);
+                self.restore_node(gid, &mut dec)?;
                 gid += 1;
             }
+            // A chunk boundary inside a node would have failed the
+            // restore above; leftover bytes after the last node mean
+            // the telemetry block did not start its own chunk.
             dec.finish()?;
         }
         if !r.next_chunk_into(buf)? {
@@ -1531,20 +1621,16 @@ where
         let mut dec = Dec::new(buf);
         self.telemetry.restore(&mut dec)?;
         dec.finish()?;
-        for (k, s) in self.shards.iter_mut().enumerate() {
-            let s = s.as_mut().expect("shard present");
-            s.now = now;
-            s.events = if k == 0 { events } else { 0 };
-        }
-        self.now = now;
+        self.finish_restore(now, events);
         Ok(())
     }
 
     /// Scheduler-execution counters (windows, sync instants, mailbox
     /// traffic, idle stalls) in a registry of their own, under a
-    /// `sched` namespace with per-shard `sched.shard{k}` scopes.
+    /// `sched` namespace with per-shard `sched.shard{k}` scopes. A
+    /// one-shard run records no windows, sync instants or mail rounds.
     ///
-    /// Deliberately **not** part of [`ShardedHarness::telemetry`]: the
+    /// Deliberately **not** part of [`Harness::telemetry`]: the
     /// simulation's metric tree is pinned by golden digests and must
     /// not vary with the shard count; these counters exist precisely to
     /// vary with it.
@@ -1567,26 +1653,9 @@ where
     }
 }
 
-/// Merging per-shard router state into one telemetry tree.
-///
-/// The sharded harness gives every shard its own router instance;
-/// absorbed state (measurement taps, counters, logs) lands in the
-/// router of whichever shard routed it. To publish the same tree a
-/// single shared router would have produced, the router type merges
-/// its parts — `parts[k]` is shard `k`'s router, in shard order.
-///
-/// Implementations must reproduce the byte-exact output of
-/// [`Router::publish_telemetry`] on an equivalent single-threaded run:
-/// the golden-digest tests hold them to it.
-pub trait MergeTelemetry {
-    /// Publishes the merged view of `parts` into `reg`.
-    fn publish_merged(parts: &[&Self], reg: &mut Registry);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bus::Harness;
     use crate::telemetry::Value;
 
     fn t(ns: u64) -> SimTime {
@@ -1980,9 +2049,7 @@ mod tests {
         fn publish_telemetry(&self, reg: &mut Registry) {
             reg.counter("toy.routed", self.routed);
         }
-    }
 
-    impl MergeTelemetry for ToyRouter {
         fn publish_merged(parts: &[&Self], reg: &mut Registry) {
             reg.counter("toy.routed", parts.iter().map(|r| r.routed).sum());
         }
@@ -2022,15 +2089,15 @@ mod tests {
         for threads in [1, 2] {
             // Sharded: relay is the sync node; its 350 ns latency is the
             // lookahead. Counter lives alone on shard 1.
-            let mut sharded = ShardedHarness::new(
+            let mut sharded = Harness::sharded(
                 vec![ToyRouter { routed: 0 }, ToyRouter { routed: 0 }],
                 64,
                 Dur::from_ns(350),
             );
             let [src, relay, dst] = toy_nodes();
-            sharded.add_node_labeled(src, "src", 0, false);
-            sharded.add_node_labeled(relay, "relay", 0, true);
-            sharded.add_node_labeled(dst, "dst", 1, false);
+            sharded.add_node_on(src, "src", 0, false);
+            sharded.add_node_on(relay, "relay", 0, true);
+            sharded.add_node_on(dst, "dst", 1, false);
             // Two threads force pool dispatch even on single-core
             // machines (the default caps threads at hardware
             // parallelism): the parallel code path must produce the
@@ -2062,13 +2129,11 @@ mod tests {
         struct Absorb;
         impl Router<Toy> for Absorb {
             fn route(&mut self, _now: SimTime, _src: NodeId, _e: u32, _sink: &mut CmdSink<u32>) {}
-        }
-        impl MergeTelemetry for Absorb {
             fn publish_merged(_parts: &[&Self], _reg: &mut Registry) {}
         }
-        let mut sharded = ShardedHarness::new(vec![Absorb, Absorb], 64, Dur::ZERO);
+        let mut sharded = Harness::sharded(vec![Absorb, Absorb], 64, Dur::ZERO);
         for k in 0..2 {
-            sharded.add_node_labeled(
+            sharded.add_node_on(
                 Toy::Source {
                     next: Some(t(10 + k as u64)),
                     period: Dur::from_ns(100),
@@ -2103,12 +2168,10 @@ mod tests {
                     sink.push(NodeId(1), 0);
                 }
             }
-        }
-        impl MergeTelemetry for BadRouter {
             fn publish_merged(_parts: &[&Self], _reg: &mut Registry) {}
         }
-        let mut sharded = ShardedHarness::new(vec![BadRouter, BadRouter], 64, Dur::from_ns(1));
-        sharded.add_node_labeled(
+        let mut sharded = Harness::sharded(vec![BadRouter, BadRouter], 64, Dur::from_ns(1));
+        sharded.add_node_on(
             Toy::Source {
                 next: Some(t(5)),
                 period: Dur::from_ns(5),
@@ -2119,7 +2182,7 @@ mod tests {
             0,
             false,
         );
-        sharded.add_node_labeled(
+        sharded.add_node_on(
             Toy::Counter {
                 received: 0,
                 last: None,
@@ -2193,13 +2256,11 @@ mod tests {
                 // echo 0 (shard 0) ↔ echo 1 (shard 1)
                 sink.push(NodeId(1 - src.0), event);
             }
-        }
-        impl MergeTelemetry for PingPong {
             fn publish_merged(_parts: &[&Self], _reg: &mut Registry) {}
         }
-        let mut sharded = ShardedHarness::new(vec![PingPong, PingPong], 8, Dur::from_ns(1));
-        sharded.add_node_labeled(Echo { armed: true }, "a", 0, true);
-        sharded.add_node_labeled(Echo { armed: false }, "b", 1, true);
+        let mut sharded = Harness::sharded(vec![PingPong, PingPong], 8, Dur::from_ns(1));
+        sharded.add_node_on(Echo { armed: true }, "a", 0, true);
+        sharded.add_node_on(Echo { armed: false }, "b", 1, true);
         let err = sharded.try_run_until(t(100)).unwrap_err();
         assert_eq!(err.at(), t(10));
         assert!(err.steps() > 8);

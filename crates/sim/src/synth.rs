@@ -13,10 +13,10 @@
 //! Used by `tests/zero_alloc.rs` (under `--features alloc-count`) and
 //! available to any harness micro-benchmark.
 
-use crate::bus::{CmdSink, Harness, NodeId, Router, DEFAULT_CASCADE_LIMIT};
+use crate::bus::{CmdSink, NodeId, Router, DEFAULT_CASCADE_LIMIT};
 use crate::engine::Component;
 use crate::persist::{Dec, Enc, Persist, PersistError};
-use crate::shard::ShardedHarness;
+use crate::shard::Harness;
 use crate::time::{Dur, SimTime};
 
 /// A periodic ticker that emits its fire count and forwards commands
@@ -150,13 +150,6 @@ impl ShardForward {
     }
 }
 
-impl crate::shard::MergeTelemetry for ShardForward {
-    fn publish_merged(parts: &[&Self], reg: &mut crate::telemetry::Registry) {
-        reg.scope("synth")
-            .counter("routed", parts.iter().map(|p| p.routed).sum());
-    }
-}
-
 impl Router<SynthNode> for ShardForward {
     fn route(&mut self, _now: SimTime, src: NodeId, event: u64, sink: &mut CmdSink<u64>) {
         self.routed += 1;
@@ -174,6 +167,11 @@ impl Router<SynthNode> for ShardForward {
                 sink.push(NodeId(base + (src.0 - base + 1) % n), budget - 1);
             }
         }
+    }
+
+    fn publish_merged(parts: &[&Self], reg: &mut crate::telemetry::Registry) {
+        reg.scope("synth")
+            .counter("routed", parts.iter().map(|p| p.routed).sum());
     }
 }
 
@@ -195,8 +193,7 @@ fn synth_nodes(n: usize, base_period_ns: u64, relay_period_ns: u64) -> Vec<Synth
         .collect()
 }
 
-/// Builds the two-shard mirror of [`build_ring`] on the conservative
-/// parallel harness: shard 0 holds ring nodes `0..n` plus the sync
+/// Builds the two-shard mirror of [`build_ring`]: shard 0 holds ring nodes `0..n` plus the sync
 /// relay (node `2n`), shard 1 holds ring nodes `n..2n`; the relay fires
 /// every `relay_period_ns` and each fire is delivered cross-shard.
 /// Exercises the full sharded hot path — window negotiation, outbox
@@ -209,16 +206,14 @@ pub fn build_sharded_ring(
     hops: u64,
     relay_period_ns: u64,
     lookahead_ns: u64,
-) -> ShardedHarness<SynthNode, ShardForward> {
+) -> Harness<SynthNode, ShardForward> {
     assert!(n > 0, "ring needs at least one node");
-    let routers = (0..2)
-        .map(|_| ShardForward {
-            nodes_per_shard: n,
-            hops,
-            routed: 0,
-        })
-        .collect();
-    let mut h = ShardedHarness::new(routers, DEFAULT_CASCADE_LIMIT, Dur::from_ns(lookahead_ns));
+    let routers = (0..2).map(|_| ShardForward {
+        nodes_per_shard: n,
+        hops,
+        routed: 0,
+    });
+    let mut h = Harness::sharded(routers, DEFAULT_CASCADE_LIMIT, Dur::from_ns(lookahead_ns));
     for (k, node) in synth_nodes(n, base_period_ns, relay_period_ns)
         .into_iter()
         .enumerate()
@@ -228,14 +223,14 @@ pub fn build_sharded_ring(
         } else {
             (k / n, false)
         };
-        h.add_node_labeled(node, format!("synth.n{k}"), shard, sync);
+        h.add_node_on(node, format!("synth.n{k}"), shard, sync);
     }
     h
 }
 
-/// The single-threaded reference for [`build_sharded_ring`]: the same
-/// nodes, router rule and registration order on the ordinary
-/// [`Harness`], for bit-identity checks.
+/// The one-shard reference for [`build_sharded_ring`]: the same nodes,
+/// router rule and registration order on one shard, for bit-identity
+/// checks.
 pub fn build_sharded_ring_reference(
     n: usize,
     base_period_ns: u64,
@@ -461,9 +456,7 @@ impl Router<GraphCellNode> for GraphForward {
     fn publish_telemetry(&self, reg: &mut crate::telemetry::Registry) {
         reg.counter("graph.routed", self.routed);
     }
-}
 
-impl crate::shard::MergeTelemetry for GraphForward {
     fn publish_merged(parts: &[&Self], reg: &mut crate::telemetry::Registry) {
         reg.counter("graph.routed", parts.iter().map(|p| p.routed).sum());
     }
@@ -491,9 +484,10 @@ fn ticker_period(cell: usize) -> u64 {
 }
 
 /// The enumerated relay fire times (and burst width) for `cell` under
-/// `case`. Times are chosen against [`ticker_period`] so the
-/// snapshot-boundary case collides exactly with the succeeding cell's
-/// own event instants while the other cases stay off them.
+/// `case`. Times are chosen against the cell tickers' periods
+/// (`97 + 13 × cell` ns) so the snapshot-boundary case collides exactly
+/// with the succeeding cell's own event instants while the other cases
+/// stay off them.
 pub fn relay_schedule(case: StragglerCase, cell: usize, cells: usize) -> (Vec<SimTime>, u32) {
     let times: Vec<u64> = match case {
         StragglerCase::SnapshotBoundary => {
@@ -561,28 +555,26 @@ pub fn build_straggler_graph(
     cells: usize,
     shards: usize,
     case: StragglerCase,
-) -> ShardedHarness<GraphCellNode, GraphForward> {
+) -> Harness<GraphCellNode, GraphForward> {
     assert!(shards >= 1 && shards <= cells);
     let out = graph_adjacency(shape, cells);
-    let routers = (0..shards)
-        .map(|_| GraphForward {
-            out: out.clone(),
-            routed: 0,
-        })
-        .collect();
-    let mut h = ShardedHarness::new(routers, DEFAULT_CASCADE_LIMIT, Dur::from_ns(1));
+    let routers = (0..shards).map(|_| GraphForward {
+        out: out.clone(),
+        routed: 0,
+    });
+    let mut h = Harness::sharded(routers, DEFAULT_CASCADE_LIMIT, Dur::from_ns(1));
     for (k, (node, label)) in graph_cell_nodes(case, cells).into_iter().enumerate() {
         let cell = k / 2;
         let shard = cell * shards / cells;
         let sync = k % 2 == 1;
-        h.add_node_labeled(node, label, shard, sync);
+        h.add_node_on(node, label, shard, sync);
     }
     h
 }
 
-/// The single-threaded reference for [`build_straggler_graph`]: same
-/// nodes, labels, registration order and routing rule on the ordinary
-/// [`Harness`], for golden-digest parity checks.
+/// The one-shard reference for [`build_straggler_graph`]: same nodes,
+/// labels, registration order and routing rule on one shard, for
+/// golden-digest parity checks.
 pub fn build_straggler_reference(
     shape: &str,
     cells: usize,
@@ -614,23 +606,44 @@ mod tests {
         assert!(total_fired > 0);
         // Each fire spawns at most `hops` handles around the ring.
         assert!(total_handled <= total_fired * 3);
-        assert!(h.router().routed() >= total_fired);
+        assert!(h.shard_router(0).routed() >= total_fired);
         assert_eq!(h.events(), total_fired + total_handled);
 
         // Re-running the identical workload is bit-deterministic.
         let mut h2 = build_ring(8, 1_000, 3);
         h2.run_until(SimTime::from_ns(50_000));
         assert_eq!(h2.events(), h.events());
-        assert_eq!(h2.router().routed(), h.router().routed());
+        assert_eq!(h2.shard_router(0).routed(), h.shard_router(0).routed());
     }
 
     #[test]
-    fn window_budget_stops_at_a_clean_cut_and_hands_nodes_over() {
+    fn one_shard_runs_record_no_window_machinery() {
+        // The degenerate case takes the plain deadline loop: no windows,
+        // no sync instants, no mail — also for a one-shard build of the
+        // sharded constructors, sync-class relays and all.
+        let mut ring = build_ring(8, 1_000, 3);
+        ring.run_until(SimTime::from_ns(50_000));
+        let mut graph = build_straggler_graph("fddi", 6, 1, StragglerCase::SameInstantStreak);
+        graph.run_until(SimTime::from_ns(30_000));
+        for (events, reg) in [
+            (ring.events(), ring.exec_telemetry()),
+            (graph.events(), graph.exec_telemetry()),
+        ] {
+            assert!(events > 0);
+            for key in ["sched.windows", "sched.sync_instants", "sched.mail_rounds"] {
+                assert_eq!(reg.counter_value(key), Some(0), "{key}");
+            }
+            assert_eq!(reg.counter_value("sched.shard0.events"), Some(events));
+        }
+    }
+
+    #[test]
+    fn window_budget_stops_at_a_clean_cut_and_collapses_in_place() {
         // `try_run_until_windows` stops short of the horizon once the
-        // window budget is spent, in exactly the state the
-        // single-threaded reference has at the cut; `take_nodes` then
-        // carries that state into a single-threaded harness that
-        // finishes the run identically.
+        // window budget is spent, in exactly the state the one-shard
+        // reference has at the cut; `collapse` then folds the shards
+        // into one in place, and the run finishes identically on the
+        // plain loop.
         let horizon = SimTime::from_ns(200_000);
         let mut sharded = build_sharded_ring(8, 1_000, 3, 2_500, 2_500);
         // Capped windows, so the horizon takes ~20 of them.
@@ -639,29 +652,30 @@ mod tests {
             .try_run_until_windows(horizon, 5)
             .expect("no cascade failure");
         assert!(cut < horizon, "budget of 5 windows must stop early");
-        assert!(sharded.windows() >= 5);
+        let windows = sharded.windows();
+        assert!(windows >= 5);
         assert_eq!(sharded.now(), cut);
         let mut reference = build_sharded_ring_reference(8, 1_000, 3, 2_500);
         reference.run_until(cut);
         assert_eq!(sharded.events(), reference.events(), "state at the cut");
 
-        let events = sharded.events();
-        let limit = sharded.cascade_limit();
-        let router = ShardForward {
-            nodes_per_shard: 8,
-            hops: 3,
-            routed: 0,
-        };
-        let mut single = Harness::new(router, limit);
-        for (k, (node, label)) in sharded.take_nodes().into_iter().enumerate() {
-            assert_eq!(label, format!("synth.n{k}"), "global registration order");
-            single.add_node_labeled(node, label);
-        }
-        single.run_until(horizon);
+        let routed: u64 = (0..2).map(|k| sharded.shard_router(k).routed()).sum();
+        sharded.collapse(|parts| {
+            let mut parts = parts.into_iter();
+            let mut one = parts.next().expect("shard 0's router");
+            one.routed += parts.map(|p| p.routed).sum::<u64>();
+            one
+        });
+        assert_eq!(sharded.shard_count(), 1);
+        assert_eq!(sharded.shard_router(0).routed(), routed);
+        assert_eq!(sharded.events(), reference.events(), "events carry over");
+        sharded.run_until(horizon);
         reference.run_until(horizon);
-        assert_eq!(single.events() + events, reference.events());
+        assert_eq!(sharded.windows(), windows, "the plain loop opens no window");
+        assert_eq!(sharded.events(), reference.events());
+        assert_eq!(sharded.telemetry_json(), reference.telemetry_json());
         for k in 0..17 {
-            let (s, r) = (single.node(NodeId(k)), reference.node(NodeId(k)));
+            let (s, r) = (sharded.node(NodeId(k)), reference.node(NodeId(k)));
             assert_eq!(s.fired(), r.fired(), "node {k}");
             assert_eq!(s.handled(), r.handled(), "node {k}");
         }

@@ -10,6 +10,9 @@ cargo fmt --all -- --check
 echo "== cargo clippy (workspace, deny warnings)"
 cargo clippy --workspace -- -D warnings
 
+echo "== cargo doc (workspace, deny rustdoc warnings: no dangling or redundant links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== tier-1: cargo build --release"
 cargo build --release
 

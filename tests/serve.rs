@@ -5,7 +5,9 @@
 //! commands — no stack overflow, no unbounded buffering, no truncated
 //! or wrapped values.
 
-use ctms_bench::serve::{run, run_with_line_cap, MAX_DEPTH, MAX_RINGS};
+use ctms_bench::serve::{
+    run, run_with_line_cap, MAX_DEPTH, MAX_PURGE_COUNT, MAX_RINGS, MAX_UNTIL_MS,
+};
 
 /// Collects a session's reply lines from its output bytes.
 fn lines(out: Vec<u8>) -> Vec<String> {
@@ -229,4 +231,49 @@ fn chains_are_capped_at_max_rings() {
     );
     assert!(got[1].contains("\"event\":\"ready\""), "{}", got[1]);
     assert_eq!(got[2], "{\"ok\":true,\"event\":\"bye\"}");
+}
+
+#[test]
+fn horizons_past_max_until_ms_are_refused() {
+    // One millisecond past the one-hour cap, as a run and as a fork
+    // horizon: refused without running, and the session keeps serving.
+    // (The cap itself is pinned on the parser; running a simulated hour
+    // here would take minutes.)
+    let over = MAX_UNTIL_MS + 1;
+    let run_over = format!("{{\"cmd\":\"run\",\"until_ms\":{over}}}");
+    let fork_over = format!("{{\"cmd\":\"fork\",\"until_ms\":{over},\"branches\":[[]]}}");
+    let got = session_replies(SESSION, &[&run_over, &fork_over, RUN.trim_end()]);
+    assert_eq!(got.len(), 5, "{got:#?}");
+    let refusal = format!(
+        "{{\"ok\":false,\"kind\":\"out_of_range\",\"error\":\"\\\"until_ms\\\" {over} exceeds the limit of {MAX_UNTIL_MS}\"}}"
+    );
+    assert_eq!(got[1], refusal);
+    assert_eq!(got[2], refusal);
+    assert!(
+        got[3].contains("\"event\":\"ran\",\"now_ms\":10,"),
+        "{}",
+        got[3]
+    );
+}
+
+#[test]
+fn purge_storms_are_capped_at_max_purge_count() {
+    // One purge over the cap is refused before any is injected; the
+    // cap itself is served.
+    let storm = |count: u64| {
+        format!("{{\"cmd\":\"steer\",\"mutations\":[{{\"kind\":\"purge_storm\",\"ring\":0,\"count\":{count}}}]}}")
+    };
+    let got = session_replies(
+        SESSION,
+        &[&storm(MAX_PURGE_COUNT + 1), &storm(MAX_PURGE_COUNT)],
+    );
+    assert_eq!(got.len(), 4, "{got:#?}");
+    assert_out_of_range(&got[1], "count");
+    assert!(got[1].contains("exceeds the limit of 10000"), "{}", got[1]);
+    assert!(
+        got[2].contains("\"event\":\"steered\"")
+            && got[2].contains(&format!("\"purge_starts\":{MAX_PURGE_COUNT}")),
+        "{}",
+        got[2]
+    );
 }
